@@ -4,8 +4,14 @@ The gradient of F along coordinate a is F minus its conditional expectation
 given all other coordinates; the divergence of a coordinate field U is the
 sum of the per-coordinate gradients of its components.  The number operator
 L = -sum_a D_a acts as multiplication by -|S| on the ANOVA component
-supported on the coordinate subset S, which gives an exact pseudo-inverse
-on centered functionals.
+supported on the coordinate subset S.
+
+The generating operator M_u = prod_a (u I + (1-u) E_a) multiplies that
+component by u^|S|, so M_u F = sum_k u^k H_k over the ANOVA layers H_k.
+Integrals of M_u over u in [0, 1] are polynomial in u; Gauss-Legendre
+quadrature evaluates them exactly from a few mixing passes, which gives the
+pseudo-inverse of L (and the resolvent in `semigroup`) without enumerating
+coordinate subsets.
 """
 
 from __future__ import annotations
@@ -130,18 +136,48 @@ def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
     return AnovaDecomposition(space, components)
 
 
+def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
+    """M_u F = prod_a (u I + (1-u) E_a) F over the coordinates not in `frozen`.
+
+    Each coordinate is kept with probability u and averaged out otherwise,
+    so the ANOVA component on S is multiplied by u^|S - frozen|.
+    """
+    out = F
+    for a in sorted(F.deps - frozenset(frozen)):
+        out = out * u + conditional_drop(space, out, a) * (1.0 - u)
+    return out
+
+
+def legendre_integral(space: ProductSpace, integrand, degree: int) -> Functional:
+    """int_0^1 integrand(u) du by Gauss-Legendre quadrature on [0, 1].
+
+    `integrand` maps u to a Functional.  With degree // 2 + 1 nodes the rule
+    is exact when the integrand is a polynomial in u of degree <= `degree`.
+    """
+    x, w = np.polynomial.legendre.leggauss(max(degree, 0) // 2 + 1)
+    out = space.constant(0.0)
+    for xi, wi in zip(x, w):
+        out = out + integrand(0.5 * (1.0 + float(xi))) * (0.5 * float(wi))
+    return out
+
+
 def invert_number_operator(space: ProductSpace, F: Functional) -> Functional:
-    """Pseudo-inverse of L on centered functionals: rescale ANOVA components."""
+    """Pseudo-inverse of L on centered functionals.
+
+    L^-1 F = -sum_{S nonempty} F_S / |S| = -int_0^1 (M_u F - E F) / u du; the
+    integrand has degree |dep(F)| - 1 in u.  A mean within the centering
+    tolerance is removed first, so the result is L^-1 (F - E F).
+    """
     mean = expectation(space, F)
     if abs(mean) > 1e-10 * F.scale():
         raise NotCentered(f"functional has mean {mean!r}")
-    dec = anova(space, F)
-    out = space.constant(0.0)
-    for S, comp in dec.components.items():
-        if len(S) == 0:
-            continue
-        out = out + comp * (-1.0 / len(S))
-    return out
+    centred = F - mean
+
+    def integrand(u):
+        M = mix(space, centred, u)
+        return (M - expectation(space, M)) * (-1.0 / u)
+
+    return legendre_integral(space, integrand, len(F.deps) - 1)
 
 
 def trace_form(space: ProductSpace, U: CoordinateField, V: CoordinateField) -> float:

@@ -33,6 +33,7 @@ from .calculus import (
     gradient_component,
     invert_number_operator,
 )
+from .semigroup import resolvent
 
 MAX_SYMMETRIC_COORDS = 12
 
@@ -65,8 +66,10 @@ def _report(space, F, order, terms) -> DecompositionReport:
     m = len(terms)
     gram = np.empty((m, m))
     for i in range(m):
+        # one weighted row per term; stacking every term would hold all m tensors
+        row = terms[i].values * space.weights
         for j in range(i, m):
-            gram[i, j] = gram[j, i] = expectation(space, terms[i] * terms[j])
+            gram[i, j] = gram[j, i] = float(np.vdot(row, terms[j].values))
     var_pair = (variance(space, F), float(np.trace(gram)) if m else 0.0)
     return DecompositionReport(
         order=tuple(order),
@@ -139,17 +142,12 @@ def symmetric_coordinate_term(space: ProductSpace, F: Functional, b: int) -> Fun
     """Coordinate b's share of the symmetric form: sum over subsets containing b.
 
     Equals the average over all orderings of the forward Clark term of
-    coordinate b.
+    coordinate b.  The subset weight is Owen's multilinear-extension integral
+    1/(r C(n,r)) = int_0^1 u^{r-1} (1-u)^{n-r} du, so the share is
+    D_b int_0^1 M_u F du with coordinate b frozen: D_b of the resolvent.
     """
     space.require_exact()
-    n = space.n
-    out = space.constant(0.0)
-    for r in range(1, n + 1):
-        w = 1.0 / (comb(n, r) * r)
-        for B in combinations(range(n), r):
-            if b in B:
-                out = out + gradient_component(space, conditional_on(space, F, B), b) * w
-    return out
+    return gradient_component(space, resolvent(space, F, frozen={b}), b)
 
 
 def helmholtz(space: ProductSpace, U: CoordinateField):

@@ -381,17 +381,22 @@ def walk_form(
 ) -> FormReport:
     """Product-space form sum_k E[(F(w) - E'[F(w_(k) + M'_k h_k)])^2].
 
-    The exact path uses the gradient coefficients; with `trials` > 0 a
-    Monte-Carlo estimate with sub-sampled inner expectation is returned
-    instead (agrees with the exact value for the linear built-ins).
+    The exact path uses the gradient coefficients; with `trials` > 0 an
+    unbiased Monte-Carlo estimate is returned instead.  Its inner expectation
+    is a mean over `inner` fresh steps, whose sampling variance would inflate
+    the estimate by sum_k c_k^2 / inner; each trial subtracts the unbiased
+    estimate sum_k c_k^2 s^2 / inner of that term, s^2 being the sample
+    variance of the fresh steps, so `inner` must be at least 2.
     """
     c = np.asarray(F.coeffs(scheme.N), dtype=float)
     if trials <= 0 or rng is None:
         return FormReport(value=float(np.sum(c * c)), se=0.0, exact=True)
+    if inner < 2:
+        raise BadParameters(f"inner sample size must be >= 2, got {inner}")
     steps = scheme.sample_steps(rng, trials)
     fresh = rng.normal(size=(trials, inner))
     inner_mean = fresh.mean(axis=1)
-    per_trial = np.zeros(trials)
+    per_trial = -np.sum(c * c) * fresh.var(axis=1, ddof=1) / inner
     for k in range(scheme.N):
         per_trial += (c[k] * (steps[:, k] - inner_mean)) ** 2
     return FormReport(

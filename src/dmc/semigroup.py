@@ -11,24 +11,19 @@ D_a P_t = e^{-t} P_t D_a and by stationarity (see also
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import exp, factorial
+from math import exp
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ExactModeOverflow, NegativeTime
+from .errors import NegativeTime
 from .space import (
     Functional,
     ProductSpace,
-    conditional_drop,
     conditional_prefix,
     expectation,
-    integrate_out,
 )
-from .calculus import gradient_component
-
-MAX_RESOLVENT_COORDS = 20
+from .calculus import gradient_component, legendre_integral, mix
 
 
 @dataclass
@@ -48,13 +43,6 @@ class Trajectory:
         return tuple(cfg)
 
 
-def _mix(space: ProductSpace, F: Functional, keep: float, frozen=()) -> Functional:
-    out = F
-    for a in sorted(F.deps - frozenset(frozen)):
-        out = out * keep + conditional_drop(space, out, a) * (1.0 - keep)
-    return out
-
-
 def mehler_apply(space: ProductSpace, F: Functional, t: float, frozen=()) -> Functional:
     """P_t F: keep each coordinate with probability e^{-t}, else resample.
 
@@ -64,14 +52,14 @@ def mehler_apply(space: ProductSpace, F: Functional, t: float, frozen=()) -> Fun
     """
     if t < 0:
         raise NegativeTime(f"negative time {t}")
-    return _mix(space, F, exp(-t), frozen)
+    return mix(space, F, exp(-t), frozen)
 
 
 def mehler_apply_swapped(space: ProductSpace, F: Functional, t: float) -> Functional:
     """Same mixture with the keep/resample weights exchanged (for comparison)."""
     if t < 0:
         raise NegativeTime(f"negative time {t}")
-    return _mix(space, F, 1.0 - exp(-t))
+    return mix(space, F, 1.0 - exp(-t))
 
 
 def simulate(
@@ -131,30 +119,16 @@ def simulate_terminal(
     return out
 
 
-def beta_weight(k: int, n: int) -> float:
-    """int_0^1 u^k (1-u)^{n-k} du = k! (n-k)! / (n+1)!."""
-    return factorial(k) * factorial(n - k) / factorial(n + 1)
-
-
 def resolvent(space: ProductSpace, G: Functional, frozen=()) -> Functional:
-    """int_0^inf e^{-t} P_t G dt in closed form over subsets of dep(G).
+    """int_0^inf e^{-t} P_t G dt = int_0^1 M_u G du (substituting u = e^{-t}).
 
-    Coordinates in `frozen` are exempt from resampling, matching
-    `mehler_apply(..., frozen=...)`.
+    The integrand has degree |dep(G) - frozen| in u, so Gauss-Legendre
+    quadrature over the mixing pass is exact.  Coordinates in `frozen` are
+    exempt from resampling, matching `mehler_apply(..., frozen=...)`.
     """
-    deps = sorted(G.deps - frozenset(frozen))
-    n = len(deps)
-    if n > MAX_RESOLVENT_COORDS:
-        raise ExactModeOverflow(
-            f"resolvent over {n} coordinates exceeds the {MAX_RESOLVENT_COORDS}-coordinate cap"
-        )
-    out = space.constant(0.0)
-    for r in range(n + 1):
-        w = beta_weight(r, n)
-        for K in combinations(deps, r):
-            dropped = set(deps) - set(K)
-            out = out + integrate_out(space, G, dropped) * w
-    return out
+    return legendre_integral(
+        space, lambda u: mix(space, G, u, frozen), len(G.deps - frozenset(frozen))
+    )
 
 
 def covariance_semigroup(

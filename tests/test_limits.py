@@ -208,10 +208,13 @@ class TestWalkForm:
         rng = np.random.default_rng(7)
         scheme = WalkScheme(16)
         exact = walk_form(time_integral_functional(), scheme).value
-        inner = 64
-        rep = walk_form(time_integral_functional(), scheme, rng=rng, trials=6000, inner=inner)
-        # the sub-sampled inner mean inflates the estimator by 1/inner
-        assert abs(rep.value - exact * (1.0 + 1.0 / inner)) <= 3.0 * rep.se
+        rep = walk_form(time_integral_functional(), scheme, rng=rng, trials=6000, inner=64)
+        assert abs(rep.value - exact) <= 3.0 * rep.se
+
+    def test_monte_carlo_needs_two_inner_steps(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(BadParameters):
+            walk_form(time_integral_functional(), WalkScheme(4), rng=rng, trials=10, inner=1)
 
     def test_evaluate_matches_coefficients(self):
         rng = np.random.default_rng(5)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from dmc.errors import NegativeTime
 from dmc.semigroup import (
-    beta_weight,
     check_commutation,
     check_contraction,
     check_semigroup_law,
@@ -20,6 +19,7 @@ from dmc.semigroup import (
 )
 from dmc.space import expectation, rademacher_space
 from .conftest import random_functional, random_space
+from .oracles import beta_weight
 
 TOL = 1e-12
 
