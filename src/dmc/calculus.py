@@ -16,7 +16,6 @@ coordinate subsets.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, Mapping
 
 import numpy as np
@@ -26,7 +25,6 @@ from .space import (
     Functional,
     ProductSpace,
     conditional_drop,
-    conditional_on,
     expectation,
 )
 
@@ -110,29 +108,29 @@ class AnovaDecomposition:
 
 
 def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
-    """Moebius construction: F_S = sum_{T subset S} (-1)^{|S|-|T|} E[F | X_T]."""
+    """Hoeffding decomposition F_S = prod_{a in S} (I - E_a) prod_{a not in S} E_a F.
+
+    Each coordinate a splits every node G (keyed by S) into E_a G under S and
+    G - E_a G under S + {a}: 2^|deps| - 1 applications of E_a.  An exactly
+    zero node has zero descendants and is dropped; the empty node is kept.
+    """
     space.require_exact()
     deps = sorted(F.deps)
     if len(deps) > MAX_ANOVA_COORDS:
         raise ExactModeOverflow(
             f"ANOVA over {len(deps)} coordinates exceeds the {MAX_ANOVA_COORDS}-coordinate cap"
         )
-    conditionals: Dict[FrozenSet[int], np.ndarray] = {}
-    for r in range(len(deps) + 1):
-        for T in combinations(deps, r):
-            conditionals[frozenset(T)] = conditional_on(space, F, T).values
-    components: Dict[FrozenSet[int], Functional] = {}
-    for r in range(len(deps) + 1):
-        for S in combinations(deps, r):
-            Sf = frozenset(S)
-            # product form of the Moebius sum: prod_{a in S} (I - E_a)
-            # applied to E[F | X_S]; algebraically identical but without
-            # the heavy cancellation of the alternating subset sum
-            comp = Functional(space, conditionals[Sf].copy(), deps=Sf)
-            for a in S:
-                comp = comp - conditional_drop(space, comp, a)
-            if Sf == frozenset() or comp.sup_norm() > 0.0:
-                components[Sf] = comp
+    components: Dict[FrozenSet[int], Functional] = {frozenset(): F}
+    for a in deps:
+        split = {}
+        for S, G in components.items():
+            averaged = conditional_drop(space, G, a)
+            kept = G - averaged
+            if not S or averaged.sup_norm() > 0.0:
+                split[S] = averaged
+            if kept.sup_norm() > 0.0:
+                split[S | {a}] = kept
+        components = split
     return AnovaDecomposition(space, components)
 
 

@@ -115,6 +115,10 @@ def clark_reverse(space: ProductSpace, F: Functional, order=None) -> Decompositi
 def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
     """Order-free form: sum over subsets B of C(n,|B|)^{-1} |B|^{-1} sum_b D_b E[F|X_B].
 
+    Every E[F|X_B] comes from one drop tree, E[F|X_{B-a}] = E_a E[F|X_B], and
+    D_b E[F|X_B] = E[F|X_B] - E[F|X_{B-b}] for b in B, so the size-r terms
+    need only the size-r and size-(r-1) conditionals; smaller ones are freed.
+
     The per-subset terms reconstruct F - E[F] exactly but are not mutually
     orthogonal (components of different subsets overlap), so the Gram matrix
     of this report is informational only.
@@ -126,15 +130,20 @@ def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
             f"symmetric form over {n} coordinates exceeds the "
             f"{MAX_SYMMETRIC_COORDS}-coordinate cap"
         )
+    cond = {frozenset(range(n)): F}
+    for a in range(n):
+        for B, G in list(cond.items()):
+            cond[B - {a}] = conditional_drop(space, G, a)
     terms = []
     for r in range(1, n + 1):
         w = 1.0 / (comb(n, r) * r)
         for B in combinations(range(n), r):
-            cond = conditional_on(space, F, B)
+            key = frozenset(B)
             term = space.constant(0.0)
             for b in B:
-                term = term + gradient_component(space, cond, b)
+                term = term + (cond[key] - cond[key - {b}])
             terms.append(term * w)
+        cond = {B: G for B, G in cond.items() if len(B) >= r}
     return _report(space, F, tuple(range(n)), terms)
 
 

@@ -158,6 +158,15 @@ class TestOtherSubcommands:
         np.savetxt(path, np.array([[0.0, 1.0], [2.0, 0.0]]), delimiter=",")
         assert main(["stein-homog", "--kernel", str(path)]) == 1
 
+    @pytest.mark.parametrize("text", ["0,1\n1,x\n", "0,1,2\n1,0\n"],
+                             ids=["non-numeric-cell", "ragged-rows"])
+    def test_stein_homog_malformed_kernel_csv(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["stein-homog", "--kernel", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestCsvOutputs:
     def test_rfc4180_shape(self, capsys):
