@@ -3,8 +3,10 @@
 A Clark representation writes F - E[F] as a sum of predictable increments
 T_k = D_k E[F | F_k] along a coordinate ordering; the reverse form uses the
 backward filtration, and the symmetric form averages over all orderings via
-a subset expansion.  The Helmholtz decomposition splits a coordinate field
-into a gradient part and a divergence-free part.
+a subset expansion.  Every term is a difference of conditional expectations
+taken from one chain (or tree) of single-coordinate averages.  The Helmholtz
+decomposition splits a coordinate field into a gradient part and a
+divergence-free part.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .space import (
     Functional,
     ProductSpace,
     conditional_drop,
-    conditional_on,
     conditional_prefix,
     expectation,
     variance,
@@ -36,6 +37,7 @@ from .calculus import (
 from .semigroup import resolvent
 
 MAX_SYMMETRIC_COORDS = 12
+GRAM_BLOCK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -57,20 +59,39 @@ class DecompositionReport:
         return float(np.max(np.abs(off)))
 
 
+def _gram(space: ProductSpace, terms) -> np.ndarray:
+    """E[T_i T_j] for all pairs: sum over grid blocks of rows @ rows.T.
+
+    Row i holds T_i sqrt(P) on one block of configurations.  Blocks fix the
+    leading coordinates, as few as keep all rows within GRAM_BLOCK_BYTES.
+    """
+    m = len(terms)
+    lead, block = 0, space.config_count
+    while lead < space.n and 8 * m * block > GRAM_BLOCK_BYTES:
+        block //= space.shape[lead]
+        lead += 1
+    root_weights = np.sqrt(space.weights)
+    rows = np.empty((m,) + space.shape[lead:])
+    flat = rows.reshape(m, block)
+    gram = None
+    for idx in np.ndindex(*space.shape[:lead]):
+        for row, T in zip(rows, terms):
+            np.multiply(T.values[idx], root_weights[idx], out=row)
+        if gram is None:
+            gram = flat @ flat.T
+        else:
+            gram += flat @ flat.T
+    return gram
+
+
 def _report(space, F, order, terms) -> DecompositionReport:
     mean = expectation(space, F)
     recon = space.constant(mean)
     for T in terms:
         recon = recon + T
     residual = (recon - F).sup_norm()
-    m = len(terms)
-    gram = np.empty((m, m))
-    for i in range(m):
-        # one weighted row per term; stacking every term would hold all m tensors
-        row = terms[i].values * space.weights
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = float(np.vdot(row, terms[j].values))
-    var_pair = (variance(space, F), float(np.trace(gram)) if m else 0.0)
+    gram = _gram(space, terms)
+    var_pair = (variance(space, F), float(np.trace(gram)) if terms else 0.0)
     return DecompositionReport(
         order=tuple(order),
         mean=mean,
@@ -89,27 +110,43 @@ def _resolve_order(space: ProductSpace, order) -> list:
     return order
 
 
+def _drop_chain_increments(space: ProductSpace, F: Functional, axes) -> list:
+    """G - E_a G for each a in `axes`, along G = F, then G = E_a G.
+
+    A coordinate G does not depend on gives the constant 0 and leaves G as is.
+    """
+    increments, G = [], F
+    for a in axes:
+        if a not in G.deps:
+            increments.append(space.constant(0.0))
+            continue
+        averaged = conditional_drop(space, G, a)
+        increments.append(G - averaged)
+        G = averaged
+    return increments
+
+
 def clark(space: ProductSpace, F: Functional, order=None) -> DecompositionReport:
-    """Forward form: T_k = D_k E[F | F_k], F_k = sigma(first k coordinates)."""
+    """Forward form: T_k = D_k E[F | F_k], F_k = sigma(first k coordinates).
+
+    E[F | F_{k-1}] = E_{order[k]} E[F | F_k], so T_k = E[F | F_k] - E[F | F_{k-1}]
+    and one chain of averages, from the last coordinate back, gives every term.
+    """
     space.require_exact()
     order = _resolve_order(space, order)
-    terms = []
-    for pos, k in enumerate(order, start=1):
-        terms.append(
-            gradient_component(space, conditional_prefix(space, F, pos, order), k)
-        )
+    terms = _drop_chain_increments(space, F, order[::-1])[::-1]
     return _report(space, F, order, terms)
 
 
 def clark_reverse(space: ProductSpace, F: Functional, order=None) -> DecompositionReport:
-    """Reverse form: T_k = D_k E[F | H_{k-1}], H_j = sigma(coordinates after j)."""
+    """Reverse form: T_k = D_k E[F | H_{k-1}], H_j = sigma(coordinates after j).
+
+    H_{k-1} still contains coordinate k and E[F | H_k] = E_{order[k]} E[F | H_{k-1}],
+    so T_k = E[F | H_{k-1}] - E[F | H_k]: one chain from the first coordinate on.
+    """
     space.require_exact()
     order = _resolve_order(space, order)
-    terms = []
-    for pos, k in enumerate(order, start=1):
-        tail = set(order[pos - 1 :])  # H_{k-1} still contains coordinate k
-        terms.append(gradient_component(space, conditional_on(space, F, tail), k))
-    return _report(space, F, order, terms)
+    return _report(space, F, order, _drop_chain_increments(space, F, order))
 
 
 def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:

@@ -5,6 +5,10 @@ class DmcError(Exception):
     """Base class for all package errors."""
 
 
+class BadInput(DmcError, ValueError):
+    """Malformed space or functional input (lengths, labels, mismatched spaces)."""
+
+
 class EmptySupport(DmcError):
     pass
 

@@ -17,7 +17,7 @@ from .calculus import gradient_component
 
 def entropy(space: ProductSpace, G: Functional) -> float:
     """E[G log G] - E[G] log E[G] for positive G."""
-    if float(np.min(G.values)) <= 0.0:
+    if float(np.min(G.data)) <= 0.0:
         raise NonPositiveFunctional("entropy needs a pointwise positive functional")
     m = expectation(space, G)
     return expectation(space, G * G.apply(np.log)) - m * float(np.log(m))
@@ -58,7 +58,7 @@ def concentration(space: ProductSpace, F: Functional, order=None):
     for pos, k in enumerate(order, start=1):
         absD = gradient_component(space, F, k).abs()
         total = total + absD * conditional_prefix(space, absD, pos, order)
-    M = float(np.max(total.values))
+    M = float(np.max(total.data))
 
     def tail_bound(x: float) -> float:
         if M == 0.0:

@@ -41,10 +41,6 @@ def adapted_field(space: ProductSpace, rng: np.random.Generator) -> CoordinateFi
     comps = {}
     for k in range(space.n):
         table = rng.normal(size=tuple(space.shape[: k + 1]))
-        full = table.reshape(space.shape[: k + 1] + (1,) * (space.n - k - 1))
-        comps[k] = Functional(
-            space,
-            np.broadcast_to(full, space.shape).copy(),
-            deps=frozenset(range(k + 1)),
-        )
+        compact = table.reshape(space.shape[: k + 1] + (1,) * (space.n - k - 1))
+        comps[k] = Functional(space, compact, deps=frozenset(range(k + 1)))
     return CoordinateField(space, comps)

@@ -1,12 +1,16 @@
 """Finite product probability spaces and functionals on them.
 
 A space is an ordered family of finitely supported coordinates.  Functionals
-are real random variables stored as dense tensors over the configuration
-grid (exact mode) or as black-box evaluators with a declared dependency set
-(Monte-Carlo mode).  Everything downstream (gradient, divergence, semigroup,
-Clark decompositions, ...) is built from the two conditioning primitives
-defined here: integrating out a single coordinate and conditioning on a
-prefix of a coordinate ordering.
+are real random variables, either tabulated over the configuration grid
+(exact mode) or black-box evaluators with a declared dependency set
+(Monte-Carlo mode).  A tabulated functional is stored compactly: its array
+has the full length on the coordinates it depends on and length 1 on every
+other axis, so a conditional expectation E[F | X_S] holds only the X_S grid.
+`Functional.values` is the read-only dense view over the whole grid.
+Everything downstream (gradient, divergence, semigroup, Clark
+decompositions, ...) is built from the two conditioning primitives defined
+here: integrating out a single coordinate and conditioning on a prefix of a
+coordinate ordering.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 import yaml
 
 from .errors import (
+    BadInput,
     EmptySupport,
     ExactModeOverflow,
     IndexOutOfRange,
@@ -41,11 +46,11 @@ class Coordinate:
         if len(self.labels) == 0:
             raise EmptySupport(f"coordinate {self.id!r} has empty support")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"coordinate {self.id!r} has duplicate outcome labels")
+            raise BadInput(f"coordinate {self.id!r} has duplicate outcome labels")
         pmf = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "pmf", pmf)
         if len(pmf) != len(self.labels):
-            raise ValueError("pmf length does not match support size")
+            raise BadInput(f"coordinate {self.id!r}: pmf length does not match support size")
         if np.any(pmf <= 0):
             raise UnnormalizedPmf(f"coordinate {self.id!r} has non-positive pmf entries")
         if abs(pmf.sum() - 1.0) > PMF_TOL:
@@ -55,7 +60,9 @@ class Coordinate:
         if self.embedding is not None:
             emb = np.asarray(self.embedding, dtype=float)
             if len(emb) != len(self.labels):
-                raise ValueError("embedding length does not match support size")
+                raise BadInput(
+                    f"coordinate {self.id!r}: embedding length does not match support size"
+                )
             object.__setattr__(self, "embedding", emb)
 
     @property
@@ -74,6 +81,10 @@ class ProductSpace:
         self.config_count = int(np.prod([c.size for c in self.coords], dtype=object))
         self.exact_ceiling = exact_ceiling
         self._weights = None
+        # each coordinate's likeliest outcome, as a length-1 slice (see `_weighted_sum`)
+        self._likeliest = tuple(
+            slice(i, i + 1) for i in (int(np.argmax(c.pmf)) for c in self.coords)
+        )
 
     @property
     def n(self) -> int:
@@ -118,7 +129,7 @@ class ProductSpace:
         self.check_axis(a)
         emb = self.coords[a].embedding
         if emb is None:
-            raise ValueError(f"coordinate {self.coords[a].id!r} has no real embedding")
+            raise BadInput(f"coordinate {self.coords[a].id!r} has no real embedding")
         return emb
 
     # -- functional constructors -------------------------------------------
@@ -127,12 +138,15 @@ class ProductSpace:
         self.require_exact()
         vals = np.asarray(values, dtype=float)
         if vals.size != self.config_count:
-            raise ValueError("table length does not match configuration count")
+            raise BadInput(
+                f"table length {vals.size} does not match configuration count "
+                f"{self.config_count}"
+            )
         vals = vals.reshape(self.shape)
         return Functional(self, vals, deps=frozenset(range(self.n)))
 
     def from_evaluator(self, fn: Callable, deps: Iterable[int]) -> "Functional":
-        """Materialize a black-box functional over its dependency grid.
+        """Tabulate a black-box functional over its dependency grid only.
 
         `fn` maps a configuration (tuple of outcome indices, one per
         coordinate) to a real; it must only look at coordinates in `deps`.
@@ -150,21 +164,19 @@ class ProductSpace:
             for a, v in zip(dep_axes, sub_idx):
                 cfg[a] = v
             sub[sub_idx] = fn(tuple(cfg))
-        full_shape = tuple(
+        compact = tuple(
             self.shape[a] if a in deps else 1 for a in range(self.n)
         )
-        vals = np.broadcast_to(sub.reshape(full_shape), self.shape).copy()
-        return Functional(self, vals, deps=deps)
+        return Functional(self, sub.reshape(compact), deps=deps)
 
     def constant(self, c: float) -> "Functional":
-        return Functional(self, np.full(self.shape, float(c)), deps=frozenset())
+        return Functional(self, np.full((1,) * self.n, float(c)), deps=frozenset())
 
     def coordinate_functional(self, a: int) -> "Functional":
         """X_a through the coordinate's real embedding."""
         emb = self.embedding(a)
         shape = tuple(self.shape[a] if i == a else 1 for i in range(self.n))
-        vals = np.broadcast_to(emb.reshape(shape), self.shape).copy()
-        return Functional(self, vals, deps=frozenset({a}))
+        return Functional(self, emb.reshape(shape).copy(), deps=frozenset({a}))
 
     def indicator(self, predicate: Callable, deps: Iterable[int]) -> "Functional":
         return self.from_evaluator(lambda cfg: 1.0 if predicate(cfg) else 0.0, deps)
@@ -180,14 +192,25 @@ class ProductSpace:
 
 
 class Functional:
-    """Real random variable on a ProductSpace, stored as a dense tensor."""
+    """Real random variable on a ProductSpace, stored compactly.
 
-    __slots__ = ("space", "values", "deps")
+    `data` has one axis per coordinate: the full length on the coordinates
+    in `deps` and length 1 on the others.  Arithmetic is numpy broadcasting
+    on these arrays, so results stay compact, and `apply` hands its `fn` the
+    stored array, so `fn` must act entrywise.  `values` is the read-only
+    dense view of shape `space.shape`; it copies nothing.
+    """
 
-    def __init__(self, space: ProductSpace, values: np.ndarray, deps: frozenset):
+    __slots__ = ("space", "data", "deps")
+
+    def __init__(self, space: ProductSpace, data: np.ndarray, deps: frozenset):
         self.space = space
-        self.values = values
+        self.data = data
         self.deps = frozenset(deps)
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.broadcast_to(self.data, self.space.shape)
 
     def __call__(self, config: Sequence[int]) -> float:
         return float(self.values[tuple(config)])
@@ -195,45 +218,45 @@ class Functional:
     def _coerce(self, other):
         if isinstance(other, Functional):
             if other.space is not self.space:
-                raise ValueError("functionals live on different spaces")
-            return other.values, other.deps
+                raise BadInput("functionals live on different spaces")
+            return other.data, other.deps
         return float(other), frozenset()
 
     def __add__(self, other):
         v, d = self._coerce(other)
-        return Functional(self.space, self.values + v, self.deps | d)
+        return Functional(self.space, self.data + v, self.deps | d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         v, d = self._coerce(other)
-        return Functional(self.space, self.values - v, self.deps | d)
+        return Functional(self.space, self.data - v, self.deps | d)
 
     def __rsub__(self, other):
         v, d = self._coerce(other)
-        return Functional(self.space, v - self.values, self.deps | d)
+        return Functional(self.space, v - self.data, self.deps | d)
 
     def __mul__(self, other):
         v, d = self._coerce(other)
-        return Functional(self.space, self.values * v, self.deps | d)
+        return Functional(self.space, self.data * v, self.deps | d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         v, d = self._coerce(other)
-        return Functional(self.space, self.values / v, self.deps | d)
+        return Functional(self.space, self.data / v, self.deps | d)
 
     def __neg__(self):
-        return Functional(self.space, -self.values, self.deps)
+        return Functional(self.space, -self.data, self.deps)
 
     def abs(self) -> "Functional":
-        return Functional(self.space, np.abs(self.values), self.deps)
+        return Functional(self.space, np.abs(self.data), self.deps)
 
     def apply(self, fn) -> "Functional":
-        return Functional(self.space, fn(self.values), self.deps)
+        return Functional(self.space, fn(self.data), self.deps)
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.data)))
 
     def scale(self) -> float:
         return max(1.0, self.sup_norm())
@@ -246,8 +269,23 @@ def build_space(coords: Sequence[Coordinate], exact_ceiling: int = DEFAULT_EXACT
     return ProductSpace(coords, exact_ceiling=exact_ceiling)
 
 
+def _weighted_sum(space: ProductSpace, data: np.ndarray) -> float:
+    """sum over all configurations of data * weight, for compact `data`.
+
+    On the stored axes the product law is the weight table taken at the
+    likeliest outcome of every length-1 axis and renormalised, so nothing
+    of the full grid is formed unless `data` spans it.
+    """
+    if data.shape == space.shape:
+        return float((data * space.weights).sum())
+    w = space.weights[
+        tuple(slice(None) if k > 1 else at for k, at in zip(data.shape, space._likeliest))
+    ]
+    return float((data * w).sum() / w.sum())
+
+
 def expectation(space: ProductSpace, F: Functional) -> float:
-    return float(np.sum(F.values * space.weights))
+    return _weighted_sum(space, F.data)
 
 
 def expectation_mc(
@@ -264,18 +302,22 @@ def expectation_mc(
 
 def variance(space: ProductSpace, F: Functional) -> float:
     m = expectation(space, F)
-    return float(np.sum((F.values - m) ** 2 * space.weights))
+    return _weighted_sum(space, (F.data - m) ** 2)
 
 
 def integrate_out(space: ProductSpace, F: Functional, axes: Iterable[int]) -> Functional:
-    """Condition on everything except `axes`: average those coordinates away."""
-    vals = F.values
+    """Condition on everything except `axes`: average those coordinates away.
+
+    Axes already stored with length 1 are constant and left alone; each
+    averaged axis keeps length 1, so the result stays compact.
+    """
+    vals = F.data
     axes = sorted(set(axes))
     for a in axes:
         space.check_axis(a)
-        vals = np.tensordot(vals, space.coords[a].pmf, axes=([a], [0]))
-        vals = np.expand_dims(vals, a)
-    vals = np.broadcast_to(vals, space.shape).copy()
+        if vals.shape[a] > 1:
+            vals = np.tensordot(vals, space.coords[a].pmf, axes=([a], [0]))
+            vals = np.expand_dims(vals, a)
     return Functional(space, vals, F.deps - set(axes))
 
 

@@ -13,6 +13,7 @@ testing only uses exactly computable quantities.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -98,7 +99,7 @@ def resample_integral(space: ProductSpace, F: Functional, a: int) -> Functional:
     space.check_axis(a)
     if a not in F.deps:
         return space.constant(0.0)
-    vals = F.values
+    vals = F.data
     pmf = space.coords[a].pmf
     out = np.zeros_like(vals)
     for o in range(space.shape[a]):
@@ -159,10 +160,10 @@ def gaussian_bound_resampled(
         for a in grads:
             # E over an independent copy of coordinate a
             pmf = space.coords[a].pmf
-            mixed = np.zeros_like(F.values)
+            mixed = 0.0
             for o in range(space.shape[a]):
-                mixed += pmf[o] * fn(np.take(F.values, [o], axis=a))
-            psi = Functional(space, np.broadcast_to(mixed, space.shape).copy(), deps=F.deps)
+                mixed = mixed + pmf[o] * fn(np.take(F.data, [o], axis=a))
+            psi = Functional(space, mixed, deps=F.deps - {a})
             val -= expectation(space, psi * grads[a] * inv_grads[a])
         best = max(best, abs(val))
     return SteinReport(
@@ -219,9 +220,14 @@ class KernelMatrix:
     @classmethod
     def from_csv(cls, path) -> "KernelMatrix":
         try:
-            f = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # numpy warns on a file without data; that case is raised below
+                warnings.simplefilter("ignore", UserWarning)
+                f = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as err:
             raise BadKernel(f"kernel file {path}: {err}") from err
+        if f.size == 0:
+            raise BadKernel(f"kernel file {path} is empty")
         return cls(f)
 
 

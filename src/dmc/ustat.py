@@ -99,12 +99,11 @@ def _require_iid(space: ProductSpace, n: int) -> Coordinate:
 
 
 def _place(space: ProductSpace, table: np.ndarray, axes: tuple) -> Functional:
-    """Broadcast a |axes|-dim symmetric table onto the given coordinates."""
+    """Place a |axes|-dim symmetric table on the given coordinates."""
     shape = [1] * space.n
     for a in axes:
         shape[a] = space.shape[a]
-    vals = np.broadcast_to(table.reshape(shape), space.shape).copy()
-    return Functional(space, vals, deps=frozenset(axes))
+    return Functional(space, table.reshape(shape), deps=frozenset(axes))
 
 
 def u_statistic(space: ProductSpace, h: SymmetricKernel, n: int) -> Functional:

@@ -9,6 +9,12 @@ They are exact but exponential in n, so the tests call them at n <= 8 only.
 `jump_kernel_matrix` is the dense m x m one-jump kernel behind the operator
 form of `check_stationarity`, for tiny m only, and `loop_simulate_terminal`
 is the per-jump loop that `simulate_terminal` vectorises.
+
+`dense_integrate_out` and `dense_from_evaluator` store every result on the
+full grid: the dense route that compact storage is checked against;
+`prefix_clark_terms` and `tail_clark_terms` build each Clark term from its
+own conditional expectation, and `pairwise_gram` is the Gram matrix of a
+report entry by entry.
 """
 
 from itertools import combinations
@@ -17,7 +23,15 @@ from math import comb, factorial
 import numpy as np
 
 from dmc.calculus import anova, gradient_component
-from dmc.space import Functional, conditional_on, integrate_out
+from dmc.space import (
+    Functional,
+    ProductSpace,
+    conditional_on,
+    conditional_prefix,
+    integrate_out,
+)
+
+_compact_from_evaluator = ProductSpace.from_evaluator
 
 
 def beta_weight(k: int, n: int) -> float:
@@ -127,3 +141,48 @@ def loop_simulate_terminal(space, x0, t, rng, size):
         for j in range(offsets[i], offsets[i + 1]):
             out[i, coords_hit[j]] = resampled[j]
     return out
+
+
+def dense_integrate_out(space, F, axes):
+    """`integrate_out` ending in a full-grid copy of the averaged table."""
+    vals = F.values
+    axes = sorted(set(axes))
+    for a in axes:
+        space.check_axis(a)
+        vals = np.tensordot(vals, space.coords[a].pmf, axes=([a], [0]))
+        vals = np.expand_dims(vals, a)
+    vals = np.broadcast_to(vals, space.shape).copy()
+    return Functional(space, vals, F.deps - set(axes))
+
+
+def dense_from_evaluator(space, fn, deps):
+    """`ProductSpace.from_evaluator` with the table copied onto the full grid."""
+    F = _compact_from_evaluator(space, fn, deps)
+    return Functional(space, np.array(F.values), F.deps)
+
+
+def prefix_clark_terms(space, F, order):
+    """Forward Clark terms D_k E[F | F_k], one prefix conditional per term."""
+    return [
+        gradient_component(space, conditional_prefix(space, F, pos, order), k)
+        for pos, k in enumerate(order, start=1)
+    ]
+
+
+def tail_clark_terms(space, F, order):
+    """Reverse Clark terms D_k E[F | H_{k-1}], one tail conditional per term."""
+    return [
+        gradient_component(space, conditional_on(space, F, order[pos - 1 :]), k)
+        for pos, k in enumerate(order, start=1)
+    ]
+
+
+def pairwise_gram(space, terms):
+    """E[T_i T_j], one weighted inner product per pair."""
+    m = len(terms)
+    gram = np.empty((m, m))
+    for i in range(m):
+        row = terms[i].values * space.weights
+        for j in range(i, m):
+            gram[i, j] = gram[j, i] = float(np.vdot(row, terms[j].values))
+    return gram

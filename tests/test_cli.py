@@ -1,4 +1,5 @@
 import json
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -166,6 +167,18 @@ class TestOtherSubcommands:
         assert main(["stein-homog", "--kernel", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"],
+                             ids=["empty", "blank-lines", "comment-only"])
+    def test_stein_homog_empty_kernel_csv(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked numpy warning fails the test
+            assert main(["stein-homog", "--kernel", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: kernel file {path} is empty\n"
+        assert "Warning" not in err
 
 
 class TestCsvOutputs:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmc.errors import (
+    BadInput,
+    DmcError,
     EmptySupport,
     ExactModeOverflow,
     IndexOutOfRange,
@@ -69,6 +71,23 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             Coordinate(id="x", labels=("a", "a"), pmf=np.array([0.5, 0.5]))
+
+    def test_malformed_input_is_a_dmc_error(self):
+        sp = rademacher_space(2)
+        bare = build_space([Coordinate(id="y", labels=("a", "b"), pmf=np.array([0.5, 0.5]))])
+        cases = [
+            lambda: Coordinate(id="x", labels=("a", "a"), pmf=np.array([0.5, 0.5])),
+            lambda: Coordinate(id="x", labels=("a", "b"), pmf=np.array([1.0])),
+            lambda: Coordinate(id="x", labels=("a", "b"), pmf=np.array([0.5, 0.5]),
+                               embedding=np.zeros(3)),
+            lambda: sp.from_table(np.zeros(3)),
+            lambda: bare.embedding(0),
+            lambda: sp.constant(1.0) + rademacher_space(2).constant(1.0),
+        ]
+        for case in cases:
+            with pytest.raises(BadInput) as info:
+                case()
+            assert isinstance(info.value, DmcError) and isinstance(info.value, ValueError)
 
     def test_exact_ceiling_enforced(self):
         sp = rademacher_space(4)
