@@ -114,7 +114,6 @@ def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
     G - E_a G under S + {a}: 2^|deps| - 1 applications of E_a.  An exactly
     zero node has zero descendants and is dropped; the empty node is kept.
     """
-    space.require_exact()
     deps = sorted(F.deps)
     if len(deps) > MAX_ANOVA_COORDS:
         raise ExactModeOverflow(
@@ -180,7 +179,6 @@ def invert_number_operator(space: ProductSpace, F: Functional) -> Functional:
 
 def trace_form(space: ProductSpace, U: CoordinateField, V: CoordinateField) -> float:
     """E[trace(DU o DV)] = E[sum_{a,b} D_a U_b D_b V_a]."""
-    space.require_exact()
     total = 0.0
     for b in U.indices():
         for a in V.indices():

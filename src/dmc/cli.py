@@ -175,6 +175,8 @@ def _quadrature_resolvent(space, G, nodes=64):
 
 
 def run_semigroup(args) -> dict:
+    if args.trials == 1:
+        raise BadParameters("the simulator's standard error needs --trials >= 2")
     rng = np.random.default_rng(args.seed)
     times = (0.1, 0.7, 2.0)
     worst = {"semigroup_law": 0.0, "commutation": 0.0, "resolvent_vs_quadrature": 0.0}
@@ -335,6 +337,8 @@ def run_hoeffding(args) -> dict:
 
 
 def run_ewens(args) -> dict:
+    if args.trials == 1:
+        raise BadParameters("the Monte-Carlo variance needs --trials >= 2")
     results = {"N": args.N, "t": args.t}
     if args.enum:
         model = EwensModel(args.N, args.t)
@@ -366,6 +370,8 @@ GAUSSIAN_ENUM_CEILING = 12
 
 def run_stein_gaussian(args) -> dict:
     n = args.n
+    if n < 1:
+        raise BadParameters(f"need n >= 1, got {n}")
     if args.mode == "exact" and n > GAUSSIAN_ENUM_CEILING:
         raise BadParameters(
             f"exact mode capped at n = {GAUSSIAN_ENUM_CEILING}, got {n}"
@@ -393,6 +399,8 @@ def run_stein_gaussian(args) -> dict:
 
 def run_stein_gamma(args) -> dict:
     n = args.n
+    if n < 2:
+        raise BadParameters(f"need n >= 2, got {n}")
     sp = rademacher_space(n)
     K = KernelMatrix.constant(n, 1.0 / (n - 1))
     F = homogeneous_functional(sp, K)
@@ -440,8 +448,6 @@ def run_limits_poisson(args) -> list:
             rep = poisson_form(total_mass_functional(), scheme)
             limit = 1.0
         else:
-            if args.trials <= 0:
-                raise BadParameters("capped functional needs --trials > 0")
             rep = poisson_form(
                 capped_mass_functional(), scheme, rng=rng, trials=args.trials
             )
@@ -464,7 +470,7 @@ def run_limits_walk(args) -> list:
         scheme = WalkScheme(N)
         if args.mode == "mc":
             if args.trials <= 0:
-                raise BadParameters("mc mode needs --trials > 0")
+                raise BadParameters("mc mode needs --trials >= 2")
             rep = walk_form(F, scheme, rng=rng, trials=args.trials, inner=args.inner)
         else:
             rep = walk_form(F, scheme)
@@ -475,11 +481,9 @@ def run_limits_walk(args) -> list:
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p, trials=0):
+def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--out", default=None)
-    p.add_argument("--mode", choices=("exact", "mc"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,17 +493,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("identities", help="randomized operator-identity suite")
-    _add_common(p, trials=500)
+    _add_common(p)
+    p.add_argument("--trials", type=int, default=500)
 
     p = sub.add_parser("semigroup", help="Mehler semigroup checks")
     _add_common(p)
+    p.add_argument("--trials", type=int, default=0)
     p.add_argument("--repeats", type=int, default=20)
 
     p = sub.add_parser("clark", help="decomposition and Helmholtz checks")
-    _add_common(p, trials=50)
+    _add_common(p)
+    p.add_argument("--trials", type=int, default=50)
 
     p = sub.add_parser("inequalities", help="log-Sobolev and concentration checks")
-    _add_common(p, trials=200)
+    _add_common(p)
+    p.add_argument("--trials", type=int, default=200)
 
     p = sub.add_parser("hoeffding", help="U-statistic decompositions")
     _add_common(p)
@@ -507,12 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ewens", help="random-permutation fixed-point statistics")
     _add_common(p)
+    p.add_argument("--trials", type=int, default=0)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--enum", action="store_true")
 
     p = sub.add_parser("stein-gaussian", help="Gaussian-distance bound")
     _add_common(p)
+    p.add_argument("--mode", choices=("exact", "mc"), default=None)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("stein-gamma", help="Gamma-distance bound")
@@ -528,11 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits-poisson", help="Poisson form convergence table")
     _add_common(p)
+    p.add_argument("--trials", type=int, default=0)
     p.add_argument("--grid", default="4,16,64,256")
     p.add_argument("--functional", choices=("total", "capped"), default="total")
 
     p = sub.add_parser("limits-walk", help="random-walk form convergence table")
     _add_common(p)
+    p.add_argument("--trials", type=int, default=0)
+    p.add_argument("--mode", choices=("exact", "mc"), default=None)
     p.add_argument("--grid", default="8,16,32,64,128,256")
     p.add_argument("--functional", choices=("endpoint", "time-integral"),
                    default="time-integral")

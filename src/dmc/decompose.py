@@ -132,7 +132,6 @@ def clark(space: ProductSpace, F: Functional, order=None) -> DecompositionReport
     E[F | F_{k-1}] = E_{order[k]} E[F | F_k], so T_k = E[F | F_k] - E[F | F_{k-1}]
     and one chain of averages, from the last coordinate back, gives every term.
     """
-    space.require_exact()
     order = _resolve_order(space, order)
     terms = _drop_chain_increments(space, F, order[::-1])[::-1]
     return _report(space, F, order, terms)
@@ -144,7 +143,6 @@ def clark_reverse(space: ProductSpace, F: Functional, order=None) -> Decompositi
     H_{k-1} still contains coordinate k and E[F | H_k] = E_{order[k]} E[F | H_{k-1}],
     so T_k = E[F | H_{k-1}] - E[F | H_k]: one chain from the first coordinate on.
     """
-    space.require_exact()
     order = _resolve_order(space, order)
     return _report(space, F, order, _drop_chain_increments(space, F, order))
 
@@ -160,7 +158,6 @@ def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
     orthogonal (components of different subsets overlap), so the Gram matrix
     of this report is informational only.
     """
-    space.require_exact()
     n = space.n
     if n > MAX_SYMMETRIC_COORDS:
         raise ExactModeOverflow(
@@ -192,7 +189,6 @@ def symmetric_coordinate_term(space: ProductSpace, F: Functional, b: int) -> Fun
     1/(r C(n,r)) = int_0^1 u^{r-1} (1-u)^{n-r} du, so the share is
     D_b int_0^1 M_u F du with coordinate b frozen: D_b of the resolvent.
     """
-    space.require_exact()
     return gradient_component(space, resolvent(space, F, frozen={b}), b)
 
 
@@ -206,7 +202,6 @@ def helmholtz(space: ProductSpace, U: CoordinateField):
     for special fields (see `helmholtz_conditional`); by the uniqueness
     argument the pair below is the only valid one.
     """
-    space.require_exact()
     dU = divergence(space, U)
     if dU.sup_norm() <= 1e-14:
         phi = space.constant(0.0)
@@ -225,7 +220,6 @@ def helmholtz_conditional(space: ProductSpace, U: CoordinateField, order=None):
     U_a = D_a(phi) + V_a can fail, e.g. for U = (0, X1*X2); kept so the gap
     against `helmholtz` stays observable.
     """
-    space.require_exact()
     order = _resolve_order(space, order)
     phi = space.constant(0.0)
     for pos, k in enumerate(order, start=1):
@@ -245,19 +239,17 @@ def covariance_identity(
     order=None,
 ) -> tuple[float, float]:
     """Both sides of cov(F,G) = E[sum_k D_k E[F|F_k] * D_k G]."""
-    space.require_exact()
     order = _resolve_order(space, order)
     lhs = expectation(space, F * G) - expectation(space, F) * expectation(space, G)
+    terms = _drop_chain_increments(space, F, order[::-1])[::-1]
     rhs = 0.0
-    for pos, k in enumerate(order, start=1):
-        T = gradient_component(space, conditional_prefix(space, F, pos, order), k)
+    for T, k in zip(terms, order):
         rhs += expectation(space, T * gradient_component(space, G, k))
     return lhs, rhs
 
 
 def poincare(space: ProductSpace, F: Functional) -> tuple[float, float]:
     """(var(F), gradient energy sum_a E[(D_aF)^2]); variance never exceeds energy."""
-    space.require_exact()
     energy = 0.0
     for a in sorted(F.deps):
         DaF = gradient_component(space, F, a)

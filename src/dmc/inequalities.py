@@ -8,6 +8,7 @@ from .errors import NonPositiveFunctional
 from .space import (
     Functional,
     ProductSpace,
+    _weighted_sum,
     conditional_drop,
     conditional_prefix,
     expectation,
@@ -25,12 +26,11 @@ def entropy(space: ProductSpace, G: Functional) -> float:
 
 def log_sobolev(space: ProductSpace, G: Functional) -> tuple[float, float]:
     """(entropy, modified gradient energy sum_k E[(D_kG)^2 / E[G|G_k]])."""
-    space.require_exact()
     ent = entropy(space, G)
     rhs = 0.0
     for k in sorted(G.deps):
-        DkG = gradient_component(space, G, k)
         denom = conditional_drop(space, G, k)
+        DkG = G - denom
         rhs += expectation(space, DkG * DkG / denom)
     return ent, rhs
 
@@ -50,7 +50,6 @@ def concentration(space: ProductSpace, F: Functional, order=None):
 
     M = sup over configurations of sum_k |D_kF| * E[|D_kF| | F_k].
     """
-    space.require_exact()
     if order is None:
         order = list(range(space.n))
     order = list(order)
@@ -73,5 +72,4 @@ def concentration(space: ProductSpace, F: Functional, order=None):
 def exact_tail(space: ProductSpace, F: Functional, x: float) -> float:
     """P(F - E[F] >= x) by enumeration."""
     m = expectation(space, F)
-    mask = (F.values - m) >= x
-    return float(np.sum(space.weights[mask]))
+    return _weighted_sum(space, (F.data - m >= x).astype(float))

@@ -214,8 +214,8 @@ def poisson_form(
     if F.linear_coefficient is not None:
         c = np.asarray(F.linear_coefficient(scheme.anchors), dtype=float)
         return FormReport(value=float(np.sum(c * c * p)), se=0.0, exact=True)
-    if trials <= 0 or rng is None:
-        raise BadParameters("non-linear functionals need rng and trials > 0")
+    if trials < 2 or rng is None:
+        raise BadParameters(f"non-linear functionals need rng and trials >= 2, got {trials}")
     from scipy.stats import poisson
 
     N = scheme.N
@@ -228,10 +228,10 @@ def poisson_form(
     per_trial = np.empty(trials)
     for s in range(trials):
         counts = rng.poisson(p)
+        actual = F.fn(configuration_from_counts(scheme.anchors, counts))
         total = 0.0
         for m in range(N):
             saved = counts[m]
-            actual = F.fn(configuration_from_counts(scheme.anchors, counts))
             inner = 0.0
             for tau, w in enumerate(pmf[m]):
                 counts[m] = tau
@@ -275,6 +275,8 @@ def poisson_limit(
     quad_points: int = 32,
 ) -> FormReport:
     """Monte-Carlo estimate of E[int |F(w + e_x) - F(w)|^2 dM(x)]."""
+    if trials < 2:
+        raise BadParameters(f"Monte-Carlo trials must be >= 2, got {trials}")
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     x = 0.5 * (nodes + 1.0)
     w = 0.5 * weights * np.asarray(density(x), dtype=float)
@@ -386,11 +388,14 @@ def walk_form(
     is a mean over `inner` fresh steps, whose sampling variance would inflate
     the estimate by sum_k c_k^2 / inner; each trial subtracts the unbiased
     estimate sum_k c_k^2 s^2 / inner of that term, s^2 being the sample
-    variance of the fresh steps, so `inner` must be at least 2.
+    variance of the fresh steps, so `inner` must be at least 2, and so must
+    `trials` for the standard error.
     """
     c = np.asarray(F.coeffs(scheme.N), dtype=float)
     if trials <= 0 or rng is None:
         return FormReport(value=float(np.sum(c * c)), se=0.0, exact=True)
+    if trials < 2:
+        raise BadParameters(f"Monte-Carlo trials must be >= 2, got {trials}")
     if inner < 2:
         raise BadParameters(f"inner sample size must be >= 2, got {inner}")
     steps = scheme.sample_steps(rng, trials)

@@ -156,7 +156,6 @@ def covariance_semigroup(
     E[D_k E[F|F_k] * D_l P_t E[G|F_k]] with l != k do not vanish.  It is
     kept so the discrepancy stays observable.
     """
-    space.require_exact()
     if order is None:
         order = list(range(space.n))
     order = list(order)

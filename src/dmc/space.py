@@ -11,11 +11,16 @@ Everything downstream (gradient, divergence, semigroup, Clark
 decompositions, ...) is built from the two conditioning primitives defined
 here: integrating out a single coordinate and conditioning on a prefix of a
 coordinate ordering.
+
+Exact mode has one rule, checked here only and before allocating: no array
+stored on a space exceeds `exact_ceiling` entries.  Expectations use the
+full-grid `weights` table, so they need the whole grid under the ceiling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,6 +28,7 @@ import yaml
 
 from .errors import (
     BadInput,
+    BadParameters,
     EmptySupport,
     ExactModeOverflow,
     IndexOutOfRange,
@@ -71,7 +77,11 @@ class Coordinate:
 
 
 class ProductSpace:
-    """Ordered product of coordinates; the order realizes the filtration."""
+    """Ordered product of coordinates; the order realizes the filtration.
+
+    No array stored on it exceeds `exact_ceiling` entries (`require_exact`);
+    expectations need the `weights` table of all `config_count` configurations.
+    """
 
     def __init__(self, coords: Sequence[Coordinate], exact_ceiling: int = DEFAULT_EXACT_CEILING):
         self.coords = tuple(coords)
@@ -80,6 +90,7 @@ class ProductSpace:
         self.shape = tuple(c.size for c in self.coords)
         self.config_count = int(np.prod([c.size for c in self.coords], dtype=object))
         self.exact_ceiling = exact_ceiling
+        self.exact = self.config_count <= exact_ceiling
         self._weights = None
         # each coordinate's likeliest outcome, as a length-1 slice (see `_weighted_sum`)
         self._likeliest = tuple(
@@ -90,15 +101,12 @@ class ProductSpace:
     def n(self) -> int:
         return len(self.coords)
 
-    @property
-    def exact(self) -> bool:
-        return self.config_count <= self.exact_ceiling
-
-    def require_exact(self):
-        if not self.exact:
+    def require_exact(self, entries: int | None = None):
+        """Refuse to store `entries` values (default: the whole grid) past the ceiling."""
+        entries = self.config_count if entries is None else entries
+        if entries > self.exact_ceiling:
             raise ExactModeOverflow(
-                f"{self.config_count} configurations exceed the exact-mode "
-                f"ceiling {self.exact_ceiling}"
+                f"{entries} stored entries exceed the exact-mode ceiling {self.exact_ceiling}"
             )
 
     @property
@@ -154,9 +162,9 @@ class ProductSpace:
         deps = frozenset(deps)
         for a in deps:
             self.check_axis(a)
-        self.require_exact()
         dep_axes = sorted(deps)
         sub_shape = tuple(self.shape[a] for a in dep_axes)
+        self.require_exact(prod(sub_shape))
         sub = np.empty(sub_shape if sub_shape else (), dtype=float)
         base = [0] * self.n
         for sub_idx in np.ndindex(*sub_shape) if sub_shape else [()]:
@@ -219,6 +227,9 @@ class Functional:
         if isinstance(other, Functional):
             if other.space is not self.space:
                 raise BadInput("functionals live on different spaces")
+            if not self.space.exact:
+                # the broadcast size, before numpy allocates (np.broadcast_shapes stops at 32 dims)
+                self.space.require_exact(prod(map(max, self.data.shape, other.data.shape)))
             return other.data, other.deps
         return float(other), frozenset()
 
@@ -295,6 +306,8 @@ def expectation_mc(
     size: int,
 ) -> tuple[float, float]:
     """Sample mean and standard error of a black-box evaluator."""
+    if size < 2:
+        raise BadParameters(f"a standard error needs size >= 2, got {size}")
     configs = space.sample_configs(rng, size)
     vals = np.array([fn(tuple(cfg)) for cfg in configs])
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(size))

@@ -28,7 +28,7 @@ from .errors import (
     DegenerateVariance,
     TooFewSamples,
 )
-from .space import Coordinate, Functional, ProductSpace, expectation
+from .space import Coordinate, Functional, ProductSpace, conditional_drop, expectation
 from .calculus import gradient_component, invert_number_operator
 
 MIN_SAMPLES = 1000
@@ -132,7 +132,6 @@ def gaussian_bound(space: ProductSpace, F: Functional) -> SteinReport:
     T1 = E|1 - sum_a D_aF (-D_a L^-1 F)|
     T2 = sum_a E[int (F - F(X_{A-a}; x))^2 dP_a(x) |D_a L^-1 F|]
     """
-    space.require_exact()
     _, _, carre, t2 = _stein_terms(space, F)
     t1 = expectation(space, (space.constant(1.0) - carre).apply(np.abs))
     return SteinReport(
@@ -150,20 +149,16 @@ def gaussian_bound_resampled(
     smooth test family, so the returned first term is a lower approximation
     of the displayed one; the second term is identical to `gaussian_bound`.
     """
-    space.require_exact()
     if family is None:
         family = smooth_test_family()
     grads, inv_grads, _, t2 = _stein_terms(space, F)
     best = 0.0
     for fn in family:
-        val = expectation(space, F.apply(fn))
+        tested = F.apply(fn)
+        val = expectation(space, tested)
         for a in grads:
             # E over an independent copy of coordinate a
-            pmf = space.coords[a].pmf
-            mixed = 0.0
-            for o in range(space.shape[a]):
-                mixed = mixed + pmf[o] * fn(np.take(F.data, [o], axis=a))
-            psi = Functional(space, mixed, deps=F.deps - {a})
+            psi = conditional_drop(space, tested, a)
             val -= expectation(space, psi * grads[a] * inv_grads[a])
         best = max(best, abs(val))
     return SteinReport(
@@ -266,7 +261,6 @@ def gamma_bound(space: ProductSpace, F: Functional, r: float, lam: float) -> Ste
     """
     if not (r > 0 and lam > 0):
         raise BadParameters(f"need r, lam > 0, got r={r}, lam={lam}")
-    space.require_exact()
     _, _, carre, b2 = _stein_terms(space, F)
     inside = F * (1.0 / lam) + space.constant(r / lam**2) - carre
     b1 = expectation(space, inside.apply(np.abs))

@@ -1,7 +1,7 @@
 """U-statistics and their Hoeffding decomposition on iid coordinates.
 
-The decomposition is built twice and compared: once from the recursive
-degenerate kernels g_k, and once as orthogonal projections of the
+The decomposition is built twice and compared: once from the degenerate
+kernels g_k = prod_j (I - E_j) h_k, and once as orthogonal projections of the
 U-statistic onto interaction orders.  The k-th layer is
 
     H^(k) = C(m,k) * C(n,k)^{-1} * sum_{|B|=k} g_k(X_B).
@@ -23,9 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArityError, BadKernel, NotIID
-from .space import Coordinate, Functional, ProductSpace, expectation, variance
-from .calculus import anova, gradient_component
-from .decompose import clark_symmetric
+from .space import Coordinate, Functional, ProductSpace, conditional_drop, iid_space, variance
+from .calculus import anova, gradient_component, number_operator
+from .decompose import _gram, clark_symmetric
 
 DEGENERACY_TOL = 1e-12
 
@@ -98,12 +98,13 @@ def _require_iid(space: ProductSpace, n: int) -> Coordinate:
     return base
 
 
-def _place(space: ProductSpace, table: np.ndarray, axes: tuple) -> Functional:
-    """Place a |axes|-dim symmetric table on the given coordinates."""
-    shape = [1] * space.n
-    for a in axes:
-        shape[a] = space.shape[a]
-    return Functional(space, table.reshape(shape), deps=frozenset(axes))
+def _subset_sum(space: ProductSpace, table: np.ndarray, n: int) -> Functional:
+    """sum over k-subsets B of the first n coordinates of the k-dim table placed on X_B."""
+    out = space.constant(0.0)
+    for B in combinations(range(n), table.ndim):
+        shape = [space.shape[a] if a in B else 1 for a in range(space.n)]
+        out = out + Functional(space, table.reshape(shape), deps=frozenset(B))
+    return out
 
 
 def u_statistic(space: ProductSpace, h: SymmetricKernel, n: int) -> Functional:
@@ -112,11 +113,7 @@ def u_statistic(space: ProductSpace, h: SymmetricKernel, n: int) -> Functional:
     if n < m:
         raise ArityError(f"need n >= m, got n={n} < m={m}")
     base = _require_iid(space, n)
-    table = h.table(base)
-    out = space.constant(0.0)
-    for B in combinations(range(n), m):
-        out = out + _place(space, table, B)
-    return out * (1.0 / comb(n, m))
+    return _subset_sum(space, h.table(base), n) * (1.0 / comb(n, m))
 
 
 def hoeffding_kernels(h: SymmetricKernel, base: Coordinate) -> HoeffdingKernels:
@@ -129,28 +126,19 @@ def hoeffding_kernels(h: SymmetricKernel, base: Coordinate) -> HoeffdingKernels:
     for k in range(m - 1, 0, -1):
         h_tables[k] = np.tensordot(h_tables[k + 1], pmf, axes=([k], [0]))
     theta = float(np.tensordot(h_tables[1], pmf, axes=([0], [0])))
-    g = [None] * (m + 1)
-    g[1] = h_tables[1] - theta
-    for k in range(2, m + 1):
-        acc = np.full((base.size,) * k, theta)
-        for j in range(1, k):
-            for B in combinations(range(k), j):
-                shape = [1] * k
-                for a in B:
-                    shape[a] = base.size
-                acc = acc + g[j].reshape(shape)
-        g[k] = h_tables[k] - acc
-    # each g_k must be degenerate: averaging out any argument gives zero
+    degenerate = []
     for k in range(1, m + 1):
-        for axis in range(k):
-            margin = np.tensordot(g[k], pmf, axes=([axis], [0]))
-            if np.max(np.abs(margin)) > 1e-10 * max(1.0, np.max(np.abs(full))):
+        # g_k = prod_j (I - E_j) h_k, the top ANOVA component of h_k on k copies
+        sp = iid_space(base, k)
+        G = sp.from_table(h_tables[k])
+        for j in range(k):
+            G = gradient_component(sp, G, j)
+        # g_k must be degenerate: averaging out any argument gives zero
+        for j in range(k):
+            if conditional_drop(sp, G, j).sup_norm() > 1e-10 * max(1.0, np.max(np.abs(full))):
                 raise BadKernel(f"g_{k} failed the degeneracy check")
-    return HoeffdingKernels(
-        theta=theta,
-        conditional_means=[h_tables[k] for k in range(1, m + 1)],
-        degenerate=[g[k] for k in range(1, m + 1)],
-    )
+        degenerate.append(G.data)
+    return HoeffdingKernels(theta=theta, conditional_means=h_tables[1:], degenerate=degenerate)
 
 
 def degeneracy_order(h: SymmetricKernel, base: Coordinate) -> int | None:
@@ -164,27 +152,22 @@ def degeneracy_order(h: SymmetricKernel, base: Coordinate) -> int | None:
 
 
 def hoeffding_decompose(space: ProductSpace, h: SymmetricKernel, n: int) -> HoeffdingReport:
-    """Layers H^(k) from the recursive kernels; sums to U_n - theta exactly."""
+    """Layers H^(k) from the degenerate kernels; sums to U_n - theta exactly."""
     m = h.arity
     if n < m:
         raise ArityError(f"need n >= m, got n={n} < m={m}")
     base = _require_iid(space, n)
     kernels = hoeffding_kernels(h, base)
     U = u_statistic(space, h, n)
-    layers = []
-    for k in range(1, m + 1):
-        layer = space.constant(0.0)
-        for B in combinations(range(n), k):
-            layer = layer + _place(space, kernels.degenerate[k - 1], B)
-        layers.append(layer * (comb(m, k) / comb(n, k)))
+    layers = [
+        _subset_sum(space, g, n) * (comb(m, k) / comb(n, k))
+        for k, g in enumerate(kernels.degenerate, start=1)
+    ]
     recon = space.constant(kernels.theta)
     for L in layers:
         recon = recon + L
     residual = (recon - U).sup_norm()
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[i, j] = gram[j, i] = expectation(space, layers[i] * layers[j])
+    gram = _gram(space, layers)
     var_pair = (variance(space, U), float(np.trace(gram)))
     return HoeffdingReport(
         theta=kernels.theta,
@@ -200,7 +183,7 @@ def hoeffding_via_projections(space: ProductSpace, h: SymmetricKernel, n: int) -
 
     The k-th Hoeffding layer is the sum of the orthogonal components of U_n
     supported on exactly k coordinates; built here from the orthogonal
-    subset expansion, with no reference to the recursive kernels.
+    subset expansion, with no reference to the kernels g_k.
     """
     U = u_statistic(space, h, n)
     dec = anova(space, U)
@@ -215,18 +198,14 @@ def symmetric_clark_groups(space: ProductSpace, h: SymmetricKernel, n: int) -> l
     fair +-1 coordinates, G_1 = G_2 = (1/3) sum X_i while the layers are
     H^(1) = (2/3) sum X_i and H^(2) = 0.  Only the ungrouped total matches.
     """
-    m = h.arity
     base = _require_iid(space, n)
     kernels = hoeffding_kernels(h, base)
     groups = []
-    for k in range(1, m + 1):
-        hk = kernels.conditional_means[k - 1]
-        group = space.constant(0.0)
-        for B in combinations(range(n), k):
-            cond = _place(space, hk, B)
-            for b in B:
-                group = group + gradient_component(space, cond, b)
-        groups.append(group * (1.0 / (k * comb(n, k))))
+    for k, hk in enumerate(kernels.conditional_means, start=1):
+        # sum_{b in B} D_b h_k(X_B) places one table, sum_j (h_k - E_j h_k) = -L h_k
+        sp = iid_space(base, k)
+        table = -number_operator(sp, sp.from_table(hk))
+        groups.append(_subset_sum(space, table.data, n) * (1.0 / (k * comb(n, k))))
     return groups
 
 
@@ -234,9 +213,4 @@ def check_total_against_symmetric_clark(
     space: ProductSpace, h: SymmetricKernel, n: int
 ) -> float:
     """Residual between U_n - theta and the full order-free Clark expansion."""
-    U = u_statistic(space, h, n)
-    rep = clark_symmetric(space, U)
-    total = space.constant(0.0)
-    for T in rep.terms:
-        total = total + T
-    return (total - (U - rep.mean)).sup_norm()
+    return clark_symmetric(space, u_statistic(space, h, n)).residual

@@ -15,21 +15,34 @@ full grid: the dense route that compact storage is checked against;
 `prefix_clark_terms` and `tail_clark_terms` build each Clark term from its
 own conditional expectation, and `pairwise_gram` is the Gram matrix of a
 report entry by entry.
+
+The remaining routes are private copies that the library replaced with its
+shared routines: the subset recursion for the degenerate Hoeffding kernels,
+the per-(B, b) gradients of the symmetric Clark groups, the prefix-conditional
+covariance identity, the per-outcome loop of the resampled Gaussian bound,
+the two-average log-Sobolev energy, the full-grid mask of `exact_tail`, and
+the Poisson form that evaluates F at a trial's configuration once per cell.
 """
 
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
+from scipy.stats import poisson
 
 from dmc.calculus import anova, gradient_component
+from dmc.limits import FormReport, _truncation_order, configuration_from_counts
 from dmc.space import (
     Functional,
     ProductSpace,
+    conditional_drop,
     conditional_on,
     conditional_prefix,
+    expectation,
     integrate_out,
 )
+from dmc.stein import _stein_terms
+from dmc.ustat import _require_iid, hoeffding_kernels
 
 _compact_from_evaluator = ProductSpace.from_evaluator
 
@@ -186,3 +199,105 @@ def pairwise_gram(space, terms):
         for j in range(i, m):
             gram[i, j] = gram[j, i] = float(np.vdot(row, terms[j].values))
     return gram
+
+
+def recursive_degenerate_kernels(h, base):
+    """g_1..g_m by g_k = h_k - theta - sum over proper non-empty subsets B of g_|B|(x_B)."""
+    kernels = hoeffding_kernels(h, base)
+    theta, h_tables = kernels.theta, kernels.conditional_means
+    g = [h_tables[0] - theta]
+    for k in range(2, h.arity + 1):
+        acc = np.full((base.size,) * k, theta)
+        for j in range(1, k):
+            for B in combinations(range(k), j):
+                shape = [1] * k
+                for a in B:
+                    shape[a] = base.size
+                acc = acc + g[j - 1].reshape(shape)
+        g.append(h_tables[k - 1] - acc)
+    return g
+
+
+def pairwise_symmetric_clark_groups(space, h, n):
+    """G_k = (k C(n,k))^{-1} sum_{|B|=k} sum_{b in B} D_b h_k(X_B), one gradient per (B, b)."""
+    kernels = hoeffding_kernels(h, _require_iid(space, n))
+    groups = []
+    for k, hk in enumerate(kernels.conditional_means, start=1):
+        group = space.constant(0.0)
+        for B in combinations(range(n), k):
+            shape = [space.shape[a] if a in B else 1 for a in range(space.n)]
+            cond = Functional(space, hk.reshape(shape), frozenset(B))
+            for b in B:
+                group = group + gradient_component(space, cond, b)
+        groups.append(group * (1.0 / (k * comb(n, k))))
+    return groups
+
+
+def prefix_covariance_identity(space, F, G, order):
+    """Both sides of cov(F,G) = E[sum_k D_k E[F|F_k] D_k G], one prefix conditional per k."""
+    lhs = expectation(space, F * G) - expectation(space, F) * expectation(space, G)
+    rhs = 0.0
+    for T, k in zip(prefix_clark_terms(space, F, order), order):
+        rhs += expectation(space, T * gradient_component(space, G, k))
+    return lhs, rhs
+
+
+def take_loop_resampled_first_term(space, F, family):
+    """First term of `gaussian_bound_resampled`, psi summed outcome by outcome."""
+    grads, inv_grads, _, _ = _stein_terms(space, F)
+    best = 0.0
+    for fn in family:
+        val = expectation(space, F.apply(fn))
+        for a in grads:
+            pmf = space.coords[a].pmf
+            mixed = 0.0
+            for o in range(space.shape[a]):
+                mixed = mixed + pmf[o] * fn(np.take(F.data, [o], axis=a))
+            psi = Functional(space, mixed, deps=F.deps - {a})
+            val -= expectation(space, psi * grads[a] * inv_grads[a])
+        best = max(best, abs(val))
+    return best
+
+
+def two_average_log_sobolev_energy(space, G):
+    """sum_k E[(D_kG)^2 / E[G|G_k]], with D_k and E_k averaging separately."""
+    rhs = 0.0
+    for k in sorted(G.deps):
+        DkG = gradient_component(space, G, k)
+        rhs += expectation(space, DkG * DkG / conditional_drop(space, G, k))
+    return rhs
+
+
+def masked_exact_tail(space, F, x):
+    """P(F - E[F] >= x) as the weight of a full-grid mask."""
+    mask = (F.values - expectation(space, F)) >= x
+    return float(np.sum(space.weights[mask]))
+
+
+def per_cell_poisson_form(F, scheme, rng, trials, tail_eps=1e-9, max_order=400):
+    """Monte-Carlo Poisson form evaluating F(w) once per cell and trial."""
+    p = scheme.masses
+    orders = [_truncation_order(p[m], tail_eps, max_order) for m in range(scheme.N)]
+    pmf = []
+    for m, T in enumerate(orders):
+        w = poisson.pmf(np.arange(T + 1), p[m])
+        pmf.append(w / w.sum())
+    per_trial = np.empty(trials)
+    for s in range(trials):
+        counts = rng.poisson(p)
+        total = 0.0
+        for m in range(scheme.N):
+            saved = counts[m]
+            actual = F.fn(configuration_from_counts(scheme.anchors, counts))
+            inner = 0.0
+            for tau, w in enumerate(pmf[m]):
+                counts[m] = tau
+                inner += w * F.fn(configuration_from_counts(scheme.anchors, counts))
+            counts[m] = saved
+            total += (actual - inner) ** 2
+        per_trial[s] = total
+    return FormReport(
+        value=float(per_trial.mean()),
+        se=float(per_trial.std(ddof=1) / sqrt(trials)),
+        exact=False,
+    )

@@ -39,6 +39,21 @@ class TestReportEnvelope:
         with pytest.raises(SystemExit):
             main(["no-such-command"])
 
+    @pytest.mark.parametrize("argv", [
+        ["hoeffding", "--mode", "mc"],
+        ["stein-gamma", "--mode", "exact"],
+        ["stein-homog", "--kernel", "k.csv", "--trials", "5"],
+        ["stein-gaussian", "--n", "4", "--trials", "5"],
+    ])
+    def test_options_a_subcommand_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_config_holds_only_read_options(self, capsys):
+        rep = run_json(capsys, "hoeffding", "--n", "3")
+        assert rep["config"] == {"n": 3}
+
     def test_dmc_errors_exit_nonzero(self, capsys):
         assert main(["ewens", "--N", "3"]) == 1  # neither --enum nor --trials
         assert main(["ewens", "--N", "0", "--enum"]) == 1
@@ -179,6 +194,24 @@ class TestOtherSubcommands:
         err = capsys.readouterr().err
         assert err == f"error: kernel file {path} is empty\n"
         assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stein-gamma", "--n", "1"],
+    ["stein-gaussian", "--n", "0", "--mode", "mc"],
+    ["semigroup", "--repeats", "1", "--trials", "1"],
+    ["ewens", "--N", "4", "--trials", "1"],
+    ["limits-walk", "--mode", "mc", "--grid", "8", "--trials", "1"],
+    ["limits-poisson", "--functional", "capped", "--grid", "4", "--trials", "1"],
+], ids=["stein-gamma-n1", "stein-gaussian-n0", "semigroup", "ewens", "limits-walk",
+        "limits-poisson"])
+def test_bad_input_is_an_error_message(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Warning" not in err and "Traceback" not in err
 
 
 class TestCsvOutputs:

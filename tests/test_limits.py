@@ -5,10 +5,13 @@ import pytest
 
 from dmc.errors import BadDensity, BadParameters, TruncationFailure
 from dmc.limits import (
+    TRUNCATION_CAP,
     FormReport,
     PartitionScheme,
     PointConfiguration,
+    PointFunctional,
     WalkScheme,
+    _truncation_order,
     capped_mass_functional,
     configuration_from_counts,
     constant_point_functional,
@@ -25,6 +28,7 @@ from dmc.limits import (
     walk_limit,
     weighted_integral_functional,
 )
+from .oracles import per_cell_poisson_form
 
 TOL = 1e-12
 
@@ -135,6 +139,31 @@ class TestPoissonForm:
                 capped_mass_functional(), sch, tail_eps=1e-12,
                 rng=rng, trials=10, max_order=1,
             )
+
+    def test_one_evaluation_of_the_trial_configuration(self):
+        calls = []
+
+        def capped(w):
+            calls.append(w)
+            return float(min(w.total_mass, 1))
+
+        F = PointFunctional(name="counted", fn=capped)
+        sch = poisson_scheme(uniform, 6)
+        trials = 7
+        rep = poisson_form(F, sch, rng=np.random.default_rng(3), trials=trials)
+        orders = [_truncation_order(p, 1e-9, TRUNCATION_CAP) for p in sch.masses]
+        assert len(calls) == trials * (1 + sum(T + 1 for T in orders))
+        old = per_cell_poisson_form(F, sch, np.random.default_rng(3), trials)
+        assert (rep.value, rep.se) == (old.value, old.se)
+
+    def test_standard_error_needs_two_trials(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(BadParameters):
+            poisson_form(capped_mass_functional(), poisson_scheme(uniform, 2), rng=rng, trials=1)
+        with pytest.raises(BadParameters):
+            walk_form(time_integral_functional(), WalkScheme(4), rng=rng, trials=1)
+        with pytest.raises(BadParameters):
+            poisson_limit(capped_mass_functional(), uniform, rng, trials=1)
 
     def test_nonlinear_requires_mc_parameters(self):
         with pytest.raises(BadParameters):

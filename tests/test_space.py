@@ -133,6 +133,10 @@ class TestExpectation:
         )
         assert abs(mean - expectation(sp, F)) <= 4 * se
 
+    def test_monte_carlo_needs_two_samples(self, rng):
+        with pytest.raises(DmcError):
+            expectation_mc(rademacher_space(2), lambda cfg: 1.0, rng, size=1)
+
 
 class TestConditioning:
     def test_drop_kills_centered_factor(self):
