@@ -25,6 +25,7 @@ from .space import (
     Functional,
     ProductSpace,
     conditional_drop,
+    conditional_prefix,
     expectation,
 )
 
@@ -170,30 +171,25 @@ def invert_number_operator(space: ProductSpace, F: Functional) -> Functional:
         raise NotCentered(f"functional has mean {mean!r}")
     centred = F - mean
 
-    def integrand(u):
-        M = mix(space, centred, u)
-        return (M - expectation(space, M)) * (-1.0 / u)
-
-    return legendre_integral(space, integrand, len(F.deps) - 1)
+    # E M_u G = E G, so the result is centred once, not at every node
+    R = legendre_integral(space, lambda u: mix(space, centred, u) * (-1.0 / u), len(F.deps) - 1)
+    return R - expectation(space, R)
 
 
 def trace_form(space: ProductSpace, U: CoordinateField, V: CoordinateField) -> float:
     """E[trace(DU o DV)] = E[sum_{a,b} D_a U_b D_b V_a]."""
-    total = 0.0
-    for b in U.indices():
-        for a in V.indices():
-            dU = gradient_component(space, U[b], a)
-            dV = gradient_component(space, V[a], b)
-            total += expectation(space, dU * dV)
-    return total
+    products = (
+        gradient_component(space, U[b], a) * gradient_component(space, V[a], b)
+        for b in U.indices()
+        for a in V.indices()
+    )
+    return expectation(space, sum(products, space.constant(0.0)))
 
 
 def field_inner(space: ProductSpace, U: CoordinateField, V: CoordinateField) -> float:
     """<U, V> in L2(A x E_A): sum_a E[U_a V_a]."""
-    total = 0.0
-    for a in set(U.indices()) | set(V.indices()):
-        total += expectation(space, U[a] * V[a])
-    return total
+    products = (U[a] * V[a] for a in set(U.indices()) | set(V.indices()))
+    return expectation(space, sum(products, space.constant(0.0)))
 
 
 # -- identity validators ----------------------------------------------------
@@ -237,12 +233,8 @@ def check_weitzenbock(space, U: CoordinateField, V: CoordinateField):
 
 def check_innovation_identity(space, U: CoordinateField):
     """For U adapted to the coordinate order: E[(delta U)^2] vs innovation norm."""
-    from .space import conditional_prefix
-
     dU = divergence(space, U)
     lhs = expectation(space, dU * dU)
-    rhs = 0.0
-    for k in U.indices():
-        innov = U[k] - conditional_prefix(space, U[k], k)
-        rhs += expectation(space, innov * innov)
+    innovations = (U[k] - conditional_prefix(space, U[k], k) for k in U.indices())
+    rhs = expectation(space, sum((d * d for d in innovations), space.constant(0.0)))
     return lhs, rhs, abs(lhs - rhs)

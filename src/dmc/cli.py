@@ -126,7 +126,15 @@ def emit(text: str, out) -> None:
 # -- subcommands --------------------------------------------------------------
 
 
+def _at_least(args, option: str, low: int) -> None:
+    """Refuse a count option below `low`; subcommands without it pass."""
+    value = getattr(args, option, low)
+    if value < low:
+        raise BadParameters(f"--{option} must be >= {low}, got {value}")
+
+
 def run_identities(args) -> dict:
+    _at_least(args, "trials", 1)
     rng = np.random.default_rng(args.seed)
     keys = (
         "integration_by_parts",
@@ -175,6 +183,7 @@ def _quadrature_resolvent(space, G, nodes=64):
 
 
 def run_semigroup(args) -> dict:
+    _at_least(args, "repeats", 1)
     if args.trials == 1:
         raise BadParameters("the simulator's standard error needs --trials >= 2")
     rng = np.random.default_rng(args.seed)
@@ -224,6 +233,7 @@ def run_semigroup(args) -> dict:
 
 
 def run_clark(args) -> dict:
+    _at_least(args, "trials", 1)
     rng = np.random.default_rng(args.seed)
     worst = {
         "reconstruction": 0.0,
@@ -273,6 +283,7 @@ def run_clark(args) -> dict:
 
 
 def run_inequalities(args) -> dict:
+    _at_least(args, "trials", 1)
     rng = np.random.default_rng(args.seed)
     lsi_violations = 0
     min_lsi_slack = float("inf")
@@ -289,8 +300,9 @@ def run_inequalities(args) -> dict:
         F = random_functional(sp, rng)
         M, bound = concentration(sp, F)
         spread = float(np.max(F.values) - np.min(F.values)) or 1.0
-        for x in np.linspace(0.0, spread, 11):
-            slack = bound(float(x)) - exact_tail(sp, F, float(x))
+        xs = np.linspace(0.0, spread, 11)
+        for x, tail in zip(xs, exact_tail(sp, F, xs)):
+            slack = bound(float(x)) - tail
             min_conc_slack = min(min_conc_slack, slack)
             if slack < -1e-12:
                 conc_violations += 1
@@ -580,6 +592,8 @@ def main(argv=None) -> int:
         if k not in ("command", "seed", "out")
     }
     try:
+        _at_least(args, "trials", 0)
+        _at_least(args, "repeats", 0)
         if args.command in CSV_RUNNERS:
             rows = CSV_RUNNERS[args.command](args)
             emit(render_csv(rows), args.out)

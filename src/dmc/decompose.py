@@ -12,8 +12,9 @@ divergence-free part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 import numpy as np
@@ -62,36 +63,35 @@ class DecompositionReport:
 def _gram(space: ProductSpace, terms) -> np.ndarray:
     """E[T_i T_j] for all pairs: sum over grid blocks of rows @ rows.T.
 
-    Row i holds T_i sqrt(P) on one block of configurations.  Blocks fix the
+    The grid spans the axes some term stores (the others carry probability
+    1), and row i holds T_i sqrt(P) on one block of it.  Blocks fix the
     leading coordinates, as few as keep all rows within GRAM_BLOCK_BYTES.
     """
     m = len(terms)
-    lead, block = 0, space.config_count
-    while lead < space.n and 8 * m * block > GRAM_BLOCK_BYTES:
-        block //= space.shape[lead]
+    shape = tuple(max(dims) for dims in zip(*(T.data.shape for T in terms)))
+    roots = [np.sqrt(c.pmf) if k > 1 else np.ones(1) for c, k in zip(space.coords, shape)]
+    lead, block = 0, prod(shape)
+    while lead < len(shape) and 8 * m * block > GRAM_BLOCK_BYTES:
+        block //= shape[lead]
         lead += 1
-    root_weights = np.sqrt(space.weights)
-    rows = np.empty((m,) + space.shape[lead:])
+    trailing = reduce(np.multiply.outer, roots[lead:], np.ones(()))
+    rows = np.empty((m,) + shape[lead:])
     flat = rows.reshape(m, block)
-    gram = None
-    for idx in np.ndindex(*space.shape[:lead]):
+    gram = np.zeros((m, m))
+    for idx in np.ndindex(*shape[:lead]):
+        block_root = trailing * prod(r[i] for r, i in zip(roots, idx))
         for row, T in zip(rows, terms):
-            np.multiply(T.values[idx], root_weights[idx], out=row)
-        if gram is None:
-            gram = flat @ flat.T
-        else:
-            gram += flat @ flat.T
+            at = tuple(i if k > 1 else 0 for i, k in zip(idx, T.data.shape))
+            np.multiply(T.data[at], block_root, out=row)
+        gram += flat @ flat.T
     return gram
 
 
 def _report(space, F, order, terms) -> DecompositionReport:
     mean = expectation(space, F)
-    recon = space.constant(mean)
-    for T in terms:
-        recon = recon + T
-    residual = (recon - F).sup_norm()
+    residual = (sum(terms, space.constant(mean)) - F).sup_norm()
     gram = _gram(space, terms)
-    var_pair = (variance(space, F), float(np.trace(gram)) if terms else 0.0)
+    var_pair = (variance(space, F), float(np.trace(gram)))
     return DecompositionReport(
         order=tuple(order),
         mean=mean,

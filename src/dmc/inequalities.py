@@ -69,7 +69,9 @@ def concentration(space: ProductSpace, F: Functional, order=None):
     return M, tail_bound
 
 
-def exact_tail(space: ProductSpace, F: Functional, x: float) -> float:
-    """P(F - E[F] >= x) by enumeration."""
-    m = expectation(space, F)
-    return _weighted_sum(space, (F.data - m >= x).astype(float))
+def exact_tail(space: ProductSpace, F: Functional, x) -> np.ndarray:
+    """P(F - E[F] >= t) by enumeration, for every threshold t in the array `x`."""
+    centred = F.data - expectation(space, F)
+    x = np.asarray(x, dtype=float)
+    tails = [_weighted_sum(space, (centred >= t).astype(float)) for t in x.flat]
+    return np.reshape(tails, x.shape)

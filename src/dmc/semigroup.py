@@ -11,7 +11,7 @@ D_a P_t = e^{-t} P_t D_a and by stationarity (see also
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp
+from math import exp, prod
 from typing import Sequence
 
 import numpy as np
@@ -204,12 +204,16 @@ def check_stationarity(space: ProductSpace) -> float:
 
     A jump resamples a uniformly chosen coordinate a from its marginal, so
     pi P = (1/n) sum_a (pi summed over axis a) * pmf_a, which costs O(n m)
-    on m configurations and never forms the m x m jump kernel.
+    on m configurations and never forms the m x m jump kernel.  pi is the
+    product of the coordinates' pmfs as functionals, so the space refuses it
+    before it would pass the exact-mode ceiling.
     """
-    pi = space.weights
-    pushed = np.zeros(space.shape)
-    for a, c in enumerate(space.coords):
-        along_a = [1] * space.n
-        along_a[a] = c.size
-        pushed += pi.sum(axis=a, keepdims=True) * c.pmf.reshape(along_a)
-    return float(np.max(np.abs(pushed / space.n - pi)))
+    laws = [
+        Functional(space, c.pmf.reshape([c.size if b == a else 1 for b in range(space.n)]), {a})
+        for a, c in enumerate(space.coords)
+    ]
+    pi = prod(laws, start=space.constant(1.0))
+    pushed = np.zeros(pi.data.shape)
+    for a, law in enumerate(laws):
+        pushed += pi.data.sum(axis=a, keepdims=True) * law.data
+    return float(np.max(np.abs(pushed / space.n - pi.data)))

@@ -13,8 +13,9 @@ here: integrating out a single coordinate and conditioning on a prefix of a
 coordinate ordering.
 
 Exact mode has one rule, checked here only and before allocating: no array
-stored on a space exceeds `exact_ceiling` entries.  Expectations use the
-full-grid `weights` table, so they need the whole grid under the ceiling.
+stored on a space exceeds `exact_ceiling` entries.  An expectation averages
+the stored axes out one coordinate at a time (Fubini), so it holds less
+than the array it is given.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class Coordinate:
 class ProductSpace:
     """Ordered product of coordinates; the order realizes the filtration.
 
-    No array stored on it exceeds `exact_ceiling` entries (`require_exact`);
-    expectations need the `weights` table of all `config_count` configurations.
+    No array stored on it exceeds `exact_ceiling` entries (`require_exact`).
+    `exact`: the whole grid fits, so no broadcast result can pass the ceiling.
     """
 
     def __init__(self, coords: Sequence[Coordinate], exact_ceiling: int = DEFAULT_EXACT_CEILING):
@@ -91,11 +92,6 @@ class ProductSpace:
         self.config_count = int(np.prod([c.size for c in self.coords], dtype=object))
         self.exact_ceiling = exact_ceiling
         self.exact = self.config_count <= exact_ceiling
-        self._weights = None
-        # each coordinate's likeliest outcome, as a length-1 slice (see `_weighted_sum`)
-        self._likeliest = tuple(
-            slice(i, i + 1) for i in (int(np.argmax(c.pmf)) for c in self.coords)
-        )
 
     @property
     def n(self) -> int:
@@ -108,17 +104,6 @@ class ProductSpace:
             raise ExactModeOverflow(
                 f"{entries} stored entries exceed the exact-mode ceiling {self.exact_ceiling}"
             )
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Product probability of every configuration, shape == self.shape."""
-        if self._weights is None:
-            self.require_exact()
-            w = np.ones((), dtype=float)
-            for c in self.coords:
-                w = np.multiply.outer(w, c.pmf)
-            self._weights = w
-        return self._weights
 
     def check_axis(self, a: int):
         if not 0 <= a < self.n:
@@ -283,16 +268,15 @@ def build_space(coords: Sequence[Coordinate], exact_ceiling: int = DEFAULT_EXACT
 def _weighted_sum(space: ProductSpace, data: np.ndarray) -> float:
     """sum over all configurations of data * weight, for compact `data`.
 
-    On the stored axes the product law is the weight table taken at the
-    likeliest outcome of every length-1 axis and renormalised, so nothing
-    of the full grid is formed unless `data` spans it.
+    The stored axes are averaged out one at a time, from the first, each by
+    one contiguous product with the coordinate's pmf (Fubini on the product
+    law); length-1 axes are constant and cost nothing.
     """
-    if data.shape == space.shape:
-        return float((data * space.weights).sum())
-    w = space.weights[
-        tuple(slice(None) if k > 1 else at for k, at in zip(data.shape, space._likeliest))
-    ]
-    return float((data * w).sum() / w.sum())
+    v = data.reshape(-1)
+    for c, k in zip(space.coords, data.shape):
+        if k > 1:
+            v = c.pmf.dot(v.reshape(k, -1))
+    return float(v[0])
 
 
 def expectation(space: ProductSpace, F: Functional) -> float:

@@ -112,15 +112,13 @@ def _stein_terms(space: ProductSpace, F: Functional):
     """D_aF, -D_a L^-1 F, carre = sum_a of their products, and T2, from one L^-1."""
     neg_inverse = invert_number_operator(space, F) * (-1.0)
     grads, inv_grads = {}, {}
-    carre, t2 = space.constant(0.0), 0.0
+    carre, remainder = space.constant(0.0), space.constant(0.0)
     for a in sorted(F.deps):
         grads[a] = gradient_component(space, F, a)
         inv_grads[a] = gradient_component(space, neg_inverse, a)
         carre = carre + grads[a] * inv_grads[a]
-        t2 += expectation(
-            space, resample_integral(space, F, a) * inv_grads[a].apply(np.abs)
-        )
-    return grads, inv_grads, carre, t2
+        remainder = remainder + resample_integral(space, F, a) * inv_grads[a].apply(np.abs)
+    return grads, inv_grads, carre, expectation(space, remainder)
 
 
 # -- Gaussian target ---------------------------------------------------------

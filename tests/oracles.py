@@ -10,6 +10,10 @@ They are exact but exponential in n, so the tests call them at n <= 8 only.
 form of `check_stationarity`, for tiny m only, and `loop_simulate_terminal`
 is the per-jump loop that `simulate_terminal` vectorises.
 
+`weight_table` is the full-grid product law that expectations no longer
+need, and `sliced_weighted_sum` is the expectation route that read it: the
+table sliced at each coordinate's likeliest outcome and renormalised.
+
 `dense_integrate_out` and `dense_from_evaluator` store every result on the
 full grid: the dense route that compact storage is checked against;
 `prefix_clark_terms` and `tail_clark_terms` build each Clark term from its
@@ -131,7 +135,7 @@ def jump_kernel_matrix(space):
 
 def kernel_stationarity(space):
     """Sup distance between the product law and its pushforward by the dense kernel."""
-    pi = space.weights.reshape(-1)
+    pi = weight_table(space).reshape(-1)
     return float(np.max(np.abs(pi @ jump_kernel_matrix(space) - pi)))
 
 
@@ -154,6 +158,30 @@ def loop_simulate_terminal(space, x0, t, rng, size):
         for j in range(offsets[i], offsets[i + 1]):
             out[i, coords_hit[j]] = resampled[j]
     return out
+
+
+def weight_table(space):
+    """Product probability of every configuration, shape == space.shape."""
+    w = np.ones(())
+    for c in space.coords:
+        w = np.multiply.outer(w, c.pmf)
+    return w
+
+
+def sliced_weighted_sum(space, data):
+    """sum of data * weight over all configurations, for compact `data`.
+
+    On the stored axes the product law is the weight table taken at the
+    likeliest outcome of every length-1 axis, renormalised.
+    """
+    w = weight_table(space)
+    if data.shape == space.shape:
+        return float((data * w).sum())
+    w = w[tuple(
+        slice(None) if k > 1 else slice(i, i + 1)
+        for k, i in zip(data.shape, (int(np.argmax(c.pmf)) for c in space.coords))
+    )]
+    return float((data * w).sum() / w.sum())
 
 
 def dense_integrate_out(space, F, axes):
@@ -194,8 +222,9 @@ def pairwise_gram(space, terms):
     """E[T_i T_j], one weighted inner product per pair."""
     m = len(terms)
     gram = np.empty((m, m))
+    weights = weight_table(space)
     for i in range(m):
-        row = terms[i].values * space.weights
+        row = terms[i].values * weights
         for j in range(i, m):
             gram[i, j] = gram[j, i] = float(np.vdot(row, terms[j].values))
     return gram
@@ -271,7 +300,7 @@ def two_average_log_sobolev_energy(space, G):
 def masked_exact_tail(space, F, x):
     """P(F - E[F] >= x) as the weight of a full-grid mask."""
     mask = (F.values - expectation(space, F)) >= x
-    return float(np.sum(space.weights[mask]))
+    return float(np.sum(weight_table(space)[mask]))
 
 
 def per_cell_poisson_form(F, scheme, rng, trials, tail_eps=1e-9, max_order=400):

@@ -214,6 +214,28 @@ def test_bad_input_is_an_error_message(capsys, argv):
     assert "Warning" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["identities", "--trials", "-1"],
+    ["identities", "--trials", "0"],
+    ["clark", "--trials", "-2"],
+    ["clark", "--trials", "0"],
+    ["inequalities", "--trials", "-3"],
+    ["inequalities", "--trials", "0"],
+    ["semigroup", "--repeats", "-1"],
+    ["semigroup", "--repeats", "0"],
+    ["semigroup", "--repeats", "1", "--trials", "-5"],
+    ["ewens", "--N", "3", "--enum", "--trials", "-1"],
+    ["limits-poisson", "--grid", "4", "--trials", "-1"],
+    ["limits-walk", "--grid", "8", "--trials", "-1"],
+])
+def test_count_options_that_check_nothing_are_refused(capsys, tmp_path, argv):
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 class TestCsvOutputs:
     def test_rfc4180_shape(self, capsys):
         code, out = run(capsys, "limits-walk", "--grid", "8,16",

@@ -26,6 +26,8 @@ from dmc.ewens import (
 )
 from dmc.space import expectation, variance
 
+from .oracles import weight_table
+
 TOL = 1e-12
 
 
@@ -94,7 +96,7 @@ class TestLaw:
         # push-forward measure, though not the same map
         for N, t in [(4, 0.5), (4, 2.0), (5, 1.3)]:
             m = EwensModel(N, t)
-            flat = m.space.weights.reshape(-1)
+            flat = weight_table(m.space).reshape(-1)
             law_gamma, law_feller = {}, {}
             for cfg_idx in range(m.space.config_count):
                 cfg = m.space.index_to_config(cfg_idx)

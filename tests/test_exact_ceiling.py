@@ -2,7 +2,9 @@
 
 No array stored on a space exceeds `exact_ceiling` entries: a call on a
 space past the ceiling either raises `ExactModeOverflow` or returns what it
-returns on the same coordinates under the default ceiling.
+returns on the same coordinates under the default ceiling.  Expectations
+average the stored axes only, so every call on a functional whose arrays
+fit returns the numbers.
 """
 
 from pathlib import Path
@@ -14,6 +16,7 @@ import dmc
 from dmc.calculus import CoordinateField, anova, trace_form
 from dmc.cli import main
 from dmc.decompose import (
+    DecompositionReport,
     clark,
     clark_reverse,
     clark_symmetric,
@@ -25,10 +28,11 @@ from dmc.decompose import (
 )
 from dmc.errors import ExactModeOverflow
 from dmc.inequalities import concentration, log_sobolev
-from dmc.semigroup import covariance_semigroup
+from dmc.semigroup import check_stationarity, covariance_semigroup
 from dmc.space import Functional, build_space, rademacher_space
 from dmc.stein import (
     KernelMatrix,
+    SteinReport,
     gamma_bound,
     gaussian_bound,
     gaussian_bound_resampled,
@@ -132,14 +136,18 @@ GUARDED = {
     "log_sobolev": lambda sp, F, G, U, V: log_sobolev(sp, F.apply(np.exp)),
     "concentration": lambda sp, F, G, U, V: concentration(sp, F),
 }
-# every other call takes an expectation, which needs the 256-entry weight table
-RUNS_PAST_CEILING = {"anova", "symmetric_coordinate_term", "helmholtz_conditional", "concentration"}
 
 
 def _numbers(result):
     """Every number a result holds, as one flat list of arrays."""
     if isinstance(result, Functional):
         return [np.array(result.values)]
+    if isinstance(result, DecompositionReport):
+        return _numbers(
+            (result.mean, result.terms, result.residual, result.gram, result.variance_pair)
+        )
+    if isinstance(result, SteinReport):
+        return _numbers((result.t1, result.t2, result.total))
     if isinstance(result, CoordinateField):
         return [v for a in result.indices() for v in _numbers(result[a])]
     if hasattr(result, "components"):  # AnovaDecomposition
@@ -158,19 +166,21 @@ def _numbers(result):
 def test_formerly_guarded_call_raises_or_matches_exact_twin(name, stored):
     (small, *args), (exact, *twin_args) = _twins(seed=sorted(GUARDED).index(name))
     call = GUARDED[name]
-    if name in RUNS_PAST_CEILING:
-        want = _numbers(call(exact, *twin_args))
-        del stored[:]
-        got = _numbers(call(small, *args))
-        scale = max(1.0, max(float(np.max(np.abs(w), initial=0.0)) for w in want))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.max(np.abs(g - w), initial=0.0) <= REL * scale
-    else:
-        with pytest.raises(ExactModeOverflow):
-            call(small, *args)
+    want = _numbers(call(exact, *twin_args))
+    del stored[:]
+    got = _numbers(call(small, *args))
+    scale = max(1.0, max(float(np.max(np.abs(w), initial=0.0)) for w in want))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w), initial=0.0) <= REL * scale
     assert max(stored, default=0) <= CEILING
+
+
+def test_stationarity_stops_at_the_ceiling(stored):
+    with pytest.raises(ExactModeOverflow, match="^128 stored entries"):
+        check_stationarity(_small())
+    assert stored and max(stored) <= CEILING
 
 
 def test_only_space_checks_the_ceiling():

@@ -25,6 +25,8 @@ from dmc.stein import (
     smooth_test_family,
 )
 
+from .oracles import weight_table
+
 TOL = 1e-12
 
 FAIR = Coordinate(
@@ -165,7 +167,7 @@ class TestGammaBound:
         F = homogeneous_functional(sp, K)
         r, lam = 0.5, 0.5
         rep = gamma_bound(sp, F, r, lam)
-        w = sp.weights
+        w = weight_table(sp)
         vals = F.values
         # pure order-2 component, so L^-1 F = -F/2 and -D_a L^-1 F = D_a F / 2
         b1_grid = vals / lam + r / lam**2
