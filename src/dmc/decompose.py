@@ -26,6 +26,7 @@ from .space import (
     conditional_drop,
     conditional_prefix,
     expectation,
+    resolve_order,
     variance,
 )
 from .calculus import (
@@ -102,14 +103,6 @@ def _report(space, F, order, terms) -> DecompositionReport:
     )
 
 
-def _resolve_order(space: ProductSpace, order) -> list:
-    if order is None:
-        return list(range(space.n))
-    order = list(order)
-    conditional_prefix(space, space.constant(0.0), 0, order)  # validates
-    return order
-
-
 def _drop_chain_increments(space: ProductSpace, F: Functional, axes) -> list:
     """G - E_a G for each a in `axes`, along G = F, then G = E_a G.
 
@@ -132,7 +125,7 @@ def clark(space: ProductSpace, F: Functional, order=None) -> DecompositionReport
     E[F | F_{k-1}] = E_{order[k]} E[F | F_k], so T_k = E[F | F_k] - E[F | F_{k-1}]
     and one chain of averages, from the last coordinate back, gives every term.
     """
-    order = _resolve_order(space, order)
+    order = resolve_order(space, order)
     terms = _drop_chain_increments(space, F, order[::-1])[::-1]
     return _report(space, F, order, terms)
 
@@ -143,7 +136,7 @@ def clark_reverse(space: ProductSpace, F: Functional, order=None) -> Decompositi
     H_{k-1} still contains coordinate k and E[F | H_k] = E_{order[k]} E[F | H_{k-1}],
     so T_k = E[F | H_{k-1}] - E[F | H_k]: one chain from the first coordinate on.
     """
-    order = _resolve_order(space, order)
+    order = resolve_order(space, order)
     return _report(space, F, order, _drop_chain_increments(space, F, order))
 
 
@@ -220,7 +213,7 @@ def helmholtz_conditional(space: ProductSpace, U: CoordinateField, order=None):
     U_a = D_a(phi) + V_a can fail, e.g. for U = (0, X1*X2); kept so the gap
     against `helmholtz` stays observable.
     """
-    order = _resolve_order(space, order)
+    order = resolve_order(space, order)
     phi = space.constant(0.0)
     for pos, k in enumerate(order, start=1):
         phi = phi + conditional_prefix(
@@ -239,7 +232,7 @@ def covariance_identity(
     order=None,
 ) -> tuple[float, float]:
     """Both sides of cov(F,G) = E[sum_k D_k E[F|F_k] * D_k G]."""
-    order = _resolve_order(space, order)
+    order = resolve_order(space, order)
     lhs = expectation(space, F * G) - expectation(space, F) * expectation(space, G)
     terms = _drop_chain_increments(space, F, order[::-1])[::-1]
     rhs = 0.0
@@ -262,7 +255,7 @@ def poincare(space: ProductSpace, F: Functional) -> tuple[float, float]:
 
 def check_conditional_commutation(space, F: Functional, k_pos: int, order=None) -> float:
     """Residual of D_k E[F|F_k] = E[D_kF | F_k] at prefix position k_pos."""
-    order = _resolve_order(space, order)
+    order = resolve_order(space, order)
     k = order[k_pos - 1]
     lhs = gradient_component(space, conditional_prefix(space, F, k_pos, order), k)
     rhs = conditional_prefix(space, gradient_component(space, F, k), k_pos, order)

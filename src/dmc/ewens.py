@@ -314,8 +314,6 @@ class C1Report:
 
 
 def c1_stats(model: EwensModel, tol: float = 1e-9) -> C1Report:
-    if model.N > MAX_ENUM_N:
-        raise EnumOverflow(f"exact statistics capped at N = {MAX_ENUM_N}")
     sp = model.space
     C1 = fixed_point_count(model)
     mean_enum = expectation(sp, C1)

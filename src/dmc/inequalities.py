@@ -8,10 +8,11 @@ from .errors import NonPositiveFunctional
 from .space import (
     Functional,
     ProductSpace,
-    _weighted_sum,
+    _average,
     conditional_drop,
     conditional_prefix,
     expectation,
+    resolve_order,
 )
 from .calculus import gradient_component
 
@@ -50,9 +51,7 @@ def concentration(space: ProductSpace, F: Functional, order=None):
 
     M = sup over configurations of sum_k |D_kF| * E[|D_kF| | F_k].
     """
-    if order is None:
-        order = list(range(space.n))
-    order = list(order)
+    order = resolve_order(space, order)
     total = space.constant(0.0)
     for pos, k in enumerate(order, start=1):
         absD = gradient_component(space, F, k).abs()
@@ -73,5 +72,6 @@ def exact_tail(space: ProductSpace, F: Functional, x) -> np.ndarray:
     """P(F - E[F] >= t) by enumeration, for every threshold t in the array `x`."""
     centred = F.data - expectation(space, F)
     x = np.asarray(x, dtype=float)
-    tails = [_weighted_sum(space, (centred >= t).astype(float)) for t in x.flat]
+    axes = range(space.n)
+    tails = [_average(space, (centred >= t).astype(float), axes)[0].item() for t in x.flat]
     return np.reshape(tails, x.shape)

@@ -22,6 +22,7 @@ from .space import (
     ProductSpace,
     conditional_prefix,
     expectation,
+    resolve_order,
 )
 from .calculus import gradient_component, legendre_integral, mix
 
@@ -156,9 +157,7 @@ def covariance_semigroup(
     E[D_k E[F|F_k] * D_l P_t E[G|F_k]] with l != k do not vanish.  It is
     kept so the discrepancy stays observable.
     """
-    if order is None:
-        order = list(range(space.n))
-    order = list(order)
+    order = resolve_order(space, order)
     lhs = expectation(space, F * G) - expectation(space, F) * expectation(space, G)
     rhs = 0.0
     for pos, k in enumerate(order, start=1):

@@ -8,14 +8,14 @@ has the full length on the coordinates it depends on and length 1 on every
 other axis, so a conditional expectation E[F | X_S] holds only the X_S grid.
 `Functional.values` is the read-only dense view over the whole grid.
 Everything downstream (gradient, divergence, semigroup, Clark
-decompositions, ...) is built from the two conditioning primitives defined
-here: integrating out a single coordinate and conditioning on a prefix of a
-coordinate ordering.
+decompositions, ...) is built from one operation, the one-coordinate average
+E_a.  `_average` is its only implementation: `integrate_out` and the
+conditionals, `expectation` and `variance` (E_a over every axis, by Fubini)
+all take one product with the pmf per stored axis, so an expectation holds
+less than the array it is given.
 
 Exact mode has one rule, checked here only and before allocating: no array
-stored on a space exceeds `exact_ceiling` entries.  An expectation averages
-the stored axes out one coordinate at a time (Fubini), so it holds less
-than the array it is given.
+stored on a space exceeds `exact_ceiling` entries.
 """
 
 from __future__ import annotations
@@ -265,22 +265,40 @@ def build_space(coords: Sequence[Coordinate], exact_ceiling: int = DEFAULT_EXACT
     return ProductSpace(coords, exact_ceiling=exact_ceiling)
 
 
-def _weighted_sum(space: ProductSpace, data: np.ndarray) -> float:
-    """sum over all configurations of data * weight, for compact `data`.
+def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> tuple:
+    """E_a for each a in the ascending `axes` of compact `data`.
 
-    The stored axes are averaged out one at a time, from the first, each by
-    one contiguous product with the coordinate's pmf (Fubini on the product
-    law); length-1 axes are constant and cost nothing.
+    Returns the averaged values, in row-major order, and their compact shape
+    (each averaged axis at length 1).  Length-1 axes cost nothing; a stored
+    axis of length k is one product with its pmf on the array viewed as
+    (pre, k, post): a gemv if pre or post is 1, else one BLAS call per leading
+    index, or a k-term sum of strided slices where rows (k * post < 32) are
+    too short for those calls to pay.
     """
-    v = data.reshape(-1)
-    for c, k in zip(space.coords, data.shape):
-        if k > 1:
-            v = c.pmf.dot(v.reshape(k, -1))
-    return float(v[0])
+    coords, out, v = space.coords, list(data.shape), data
+    for i, a in enumerate(axes):
+        k = out[a]
+        if k == 1:
+            continue
+        pmf = coords[a].pmf
+        # a == i: every axis before a was averaged or is constant, so pre == 1
+        if a == i or (pre := prod(out[:a])) == 1:
+            v = pmf.dot(v.reshape(k, -1))
+        elif v.size == pre * k:
+            v = v.reshape(-1, k).dot(pmf)
+        elif v.size >= 32 * pre:
+            v = pmf @ v.reshape(pre, k, -1)
+        else:
+            v3 = v.reshape(pre, k, -1)
+            v = pmf[0] * v3[:, 0]
+            for j in range(1, k):
+                v += pmf[j] * v3[:, j]
+        out[a] = 1
+    return v, out
 
 
 def expectation(space: ProductSpace, F: Functional) -> float:
-    return _weighted_sum(space, F.data)
+    return _average(space, F.data, range(space.n))[0].item()
 
 
 def expectation_mc(
@@ -299,28 +317,20 @@ def expectation_mc(
 
 def variance(space: ProductSpace, F: Functional) -> float:
     m = expectation(space, F)
-    return _weighted_sum(space, (F.data - m) ** 2)
+    return _average(space, (F.data - m) ** 2, range(space.n))[0].item()
 
 
 def integrate_out(space: ProductSpace, F: Functional, axes: Iterable[int]) -> Functional:
-    """Condition on everything except `axes`: average those coordinates away.
-
-    Axes already stored with length 1 are constant and left alone; each
-    averaged axis keeps length 1, so the result stays compact.
-    """
-    vals = F.data
+    """Condition on everything except `axes`: average those coordinates away."""
     axes = sorted(set(axes))
     for a in axes:
         space.check_axis(a)
-        if vals.shape[a] > 1:
-            vals = np.tensordot(vals, space.coords[a].pmf, axes=([a], [0]))
-            vals = np.expand_dims(vals, a)
-    return Functional(space, vals, F.deps - set(axes))
+    v, shape = _average(space, F.data, axes)
+    return Functional(space, v.reshape(shape), F.deps - set(axes))
 
 
 def conditional_drop(space: ProductSpace, F: Functional, a: int) -> Functional:
     """E[F | G_a]: integrate coordinate a out against its marginal."""
-    space.check_axis(a)
     return integrate_out(space, F, [a])
 
 
@@ -330,6 +340,16 @@ def conditional_on(space: ProductSpace, F: Functional, keep: Iterable[int]) -> F
     return integrate_out(space, F, set(range(space.n)) - keep)
 
 
+def resolve_order(space: ProductSpace, order: Sequence[int] | None) -> list:
+    """`order` as a list (default: the coordinates in index order); it must be a permutation."""
+    if order is None:
+        return list(range(space.n))
+    order = list(order)
+    if sorted(order) != list(range(space.n)):
+        raise IndexOutOfRange("order must be a permutation of the coordinates")
+    return order
+
+
 def conditional_prefix(
     space: ProductSpace,
     F: Functional,
@@ -337,11 +357,7 @@ def conditional_prefix(
     order: Sequence[int] | None = None,
 ) -> Functional:
     """E[F | F_k] for the filtration generated by the first k coordinates of `order`."""
-    if order is None:
-        order = range(space.n)
-    order = list(order)
-    if sorted(order) != list(range(space.n)):
-        raise IndexOutOfRange("order must be a permutation of the coordinates")
+    order = resolve_order(space, order)
     if not 0 <= k <= space.n:
         raise IndexOutOfRange(f"prefix length {k} out of range")
     return conditional_on(space, F, order[:k])

@@ -23,7 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArityError, BadKernel, NotIID
-from .space import Coordinate, Functional, ProductSpace, conditional_drop, iid_space, variance
+from .space import (
+    Coordinate, Functional, ProductSpace, conditional_drop, expectation, iid_space, variance
+)
 from .calculus import anova, gradient_component, number_operator
 from .decompose import _gram, clark_symmetric
 
@@ -117,28 +119,25 @@ def u_statistic(space: ProductSpace, h: SymmetricKernel, n: int) -> Functional:
 
 
 def hoeffding_kernels(h: SymmetricKernel, base: Coordinate) -> HoeffdingKernels:
-    """theta, conditional means h_k, and degenerate kernels g_k over `base`."""
+    """theta, conditional means h_k, and degenerate kernels g_k, on m copies of `base`."""
     m = h.arity
-    full = h.table(base)
-    pmf = base.pmf
-    h_tables = [None] * (m + 1)
-    h_tables[m] = full
+    sp = iid_space(base, m)
+    H = sp.from_table(h.table(base))
+    theta = expectation(sp, H)
+    conditional = [H]  # h_m, h_{m-1}, ..., h_1
     for k in range(m - 1, 0, -1):
-        h_tables[k] = np.tensordot(h_tables[k + 1], pmf, axes=([k], [0]))
-    theta = float(np.tensordot(h_tables[1], pmf, axes=([0], [0])))
-    degenerate = []
-    for k in range(1, m + 1):
-        # g_k = prod_j (I - E_j) h_k, the top ANOVA component of h_k on k copies
-        sp = iid_space(base, k)
-        G = sp.from_table(h_tables[k])
-        for j in range(k):
+        conditional.append(conditional_drop(sp, conditional[-1], k))
+    h_tables, degenerate = [], []
+    for k, G in enumerate(reversed(conditional), start=1):
+        h_tables.append(G.data.reshape(G.data.shape[:k]))
+        for j in range(k):  # g_k = prod_j (I - E_j) h_k, the top ANOVA component of h_k
             G = gradient_component(sp, G, j)
         # g_k must be degenerate: averaging out any argument gives zero
         for j in range(k):
-            if conditional_drop(sp, G, j).sup_norm() > 1e-10 * max(1.0, np.max(np.abs(full))):
+            if conditional_drop(sp, G, j).sup_norm() > 1e-10 * H.scale():
                 raise BadKernel(f"g_{k} failed the degeneracy check")
-        degenerate.append(G.data)
-    return HoeffdingKernels(theta=theta, conditional_means=h_tables[1:], degenerate=degenerate)
+        degenerate.append(G.data.reshape(G.data.shape[:k]))
+    return HoeffdingKernels(theta=theta, conditional_means=h_tables, degenerate=degenerate)
 
 
 def degeneracy_order(h: SymmetricKernel, base: Coordinate) -> int | None:

@@ -14,6 +14,12 @@ is the per-jump loop that `simulate_terminal` vectorises.
 need, and `sliced_weighted_sum` is the expectation route that read it: the
 table sliced at each coordinate's likeliest outcome and renormalised.
 
+`tensordot_integrate_out` averages each axis by `np.tensordot` (a transposed
+copy of the table, then a product) and puts the axis back with
+`np.expand_dims`, and `tensordot_hoeffding_kernels` builds h_k and
+g_k = prod_j (I - E_j) h_k by the same contractions on k-dimensional tables:
+the routes that the one averaging kernel of `space` replaced.
+
 `dense_integrate_out` and `dense_from_evaluator` store every result on the
 full grid: the dense route that compact storage is checked against;
 `prefix_clark_terms` and `tail_clark_terms` build each Clark term from its
@@ -182,6 +188,35 @@ def sliced_weighted_sum(space, data):
         for k, i in zip(data.shape, (int(np.argmax(c.pmf)) for c in space.coords))
     )]
     return float((data * w).sum() / w.sum())
+
+
+def tensordot_integrate_out(space, F, axes):
+    """`integrate_out` by one `tensordot` per stored axis, compact like the library."""
+    vals = F.data
+    axes = sorted(set(axes))
+    for a in axes:
+        space.check_axis(a)
+        if vals.shape[a] > 1:
+            vals = np.tensordot(vals, space.coords[a].pmf, axes=([a], [0]))
+            vals = np.expand_dims(vals, a)
+    return Functional(space, vals, F.deps - set(axes))
+
+
+def tensordot_hoeffding_kernels(h, base):
+    """(theta, [h_1..h_m], [g_1..g_m]) from k-dimensional tables, one space per k."""
+    m, pmf = h.arity, base.pmf
+    h_tables = [None] * (m + 1)
+    h_tables[m] = h.table(base)
+    for k in range(m - 1, 0, -1):
+        h_tables[k] = np.tensordot(h_tables[k + 1], pmf, axes=([k], [0]))
+    theta = float(np.tensordot(h_tables[1], pmf, axes=([0], [0])))
+    degenerate = []
+    for k in range(1, m + 1):
+        G = h_tables[k]
+        for j in range(k):
+            G = G - np.expand_dims(np.tensordot(G, pmf, axes=([j], [0])), j)
+        degenerate.append(G)
+    return theta, h_tables[1:], degenerate
 
 
 def dense_integrate_out(space, F, axes):

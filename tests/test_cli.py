@@ -29,6 +29,10 @@ class TestReportEnvelope:
         assert rep["config"]["N"] == 3
         assert "version" in rep and "timestamp" in rep
 
+    def test_ewens_enumerates_past_eight(self, capsys):
+        rep = run_json(capsys, "ewens", "--N", "9", "--t", "1.5", "--enum")
+        assert rep["results"]["var_enum"] == pytest.approx(rep["results"]["var_clark"], abs=1e-12)
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "r.json"
         code, out = run(capsys, "ewens", "--N", "2", "--enum", "--out", str(path))

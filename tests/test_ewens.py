@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from dmc.errors import BadParameters, EnumOverflow, IndexOutOfRange
+from dmc.errors import BadParameters, EnumOverflow, ExactModeOverflow, IndexOutOfRange
 from dmc.decompose import clark_reverse
 from dmc.ewens import (
     EwensModel,
@@ -194,6 +194,19 @@ class TestVariance:
     def test_clark_pythagoras_matches_enumeration(self, N, t):
         rep = c1_stats(EwensModel(N, t))
         assert abs(rep.var_clark - rep.var_enum) <= 1e-10
+
+    def test_exact_statistics_past_the_enumeration_cap(self):
+        # c1_stats runs on the index space (9! entries), not on a list of permutations
+        t, N = 1.5, 9
+        rep = c1_stats(EwensModel(N, t))
+        assert abs(rep.mean_enum - t * N / (t + N - 1)) <= 1e-12
+        assert abs(rep.var_enum - rep.var_clark) <= 1e-12
+        with pytest.raises(EnumOverflow):
+            all_index_vectors(N)
+
+    def test_exact_statistics_stop_at_the_space_ceiling(self):
+        with pytest.raises(ExactModeOverflow):
+            c1_stats(EwensModel(11, 1.5))
 
     def test_printed_formula_flagged(self):
         # documented discrepancy: the displayed variance formula evaluates

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmc.errors import NegativeTime
+from dmc.errors import IndexOutOfRange, NegativeTime
 from dmc.semigroup import (
     check_commutation,
     check_contraction,
@@ -160,6 +160,17 @@ class TestCovarianceIdentity:
         G = random_functional(sp, rng)
         lhs, rhs = covariance_semigroup(sp, F, G)
         assert abs(lhs - rhs) <= 1e-10 * F.scale() * G.scale()
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0]])
+    def test_order_must_be_a_permutation(self, order, conditioned):
+        # a repeated or missing coordinate would give a wrong right-hand side
+        rng = np.random.default_rng(3)
+        sp = rademacher_space(3)
+        F = sp.from_table(rng.normal(size=sp.config_count))
+        G = sp.from_table(rng.normal(size=sp.config_count))
+        with pytest.raises(IndexOutOfRange):
+            covariance_semigroup(sp, F, G, order=order, conditioned=conditioned)
 
     def test_conditioned_variant_documents_discrepancy(self, sp2):
         # The conditioned statement of the identity under-counts cross-terms;

@@ -20,6 +20,7 @@ from dmc.space import (
     expectation,
     expectation_mc,
     rademacher_space,
+    resolve_order,
     space_from_file,
     variance,
 )
@@ -179,6 +180,14 @@ class TestConditioning:
             conditional_prefix(sp, F, 1, order=[0, 0])
         with pytest.raises(IndexOutOfRange):
             conditional_prefix(sp, F, 3)
+
+    def test_resolve_order(self):
+        sp = rademacher_space(3)
+        assert resolve_order(sp, None) == [0, 1, 2]
+        assert resolve_order(sp, (2, 0, 1)) == [2, 0, 1]
+        for bad in ([0, 0, 1], [0], [0, 1, 2, 3], [1, 2, 3]):
+            with pytest.raises(IndexOutOfRange):
+                resolve_order(sp, bad)
 
     def test_drop_invalid_axis(self):
         sp = rademacher_space(2)
