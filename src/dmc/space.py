@@ -271,9 +271,9 @@ def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> tupl
     Returns the averaged values, in row-major order, and their compact shape
     (each averaged axis at length 1).  Length-1 axes cost nothing; a stored
     axis of length k is one product with its pmf on the array viewed as
-    (pre, k, post): a gemv if pre or post is 1, else one BLAS call per leading
-    index, or a k-term sum of strided slices where rows (k * post < 32) are
-    too short for those calls to pay.
+    (pre, k, post): a gemv if pre or post is 1, else one einsum pass, which
+    holds no temporary and, unlike a batched matmul, makes no BLAS call per
+    leading index.
     """
     coords, out, v = space.coords, list(data.shape), data
     for i, a in enumerate(axes):
@@ -286,13 +286,8 @@ def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> tupl
             v = pmf.dot(v.reshape(k, -1))
         elif v.size == pre * k:
             v = v.reshape(-1, k).dot(pmf)
-        elif v.size >= 32 * pre:
-            v = pmf @ v.reshape(pre, k, -1)
         else:
-            v3 = v.reshape(pre, k, -1)
-            v = pmf[0] * v3[:, 0]
-            for j in range(1, k):
-                v += pmf[j] * v3[:, j]
+            v = np.einsum("j,ijk->ik", pmf, v.reshape(pre, k, -1))
         out[a] = 1
     return v, out
 

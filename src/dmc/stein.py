@@ -110,7 +110,10 @@ def _stein_terms(space: ProductSpace, F: Functional):
         grads[a] = gradient_component(space, F, a)
         inv_grads[a] = gradient_component(space, neg_inverse, a)
         carre = carre + grads[a] * inv_grads[a]
-        remainder = remainder + resample_integral(space, F, a) * inv_grads[a].apply(np.abs)
+        # resample_integral(space, F, a), from the D_aF in hand
+        square = grads[a] * grads[a]
+        resampled = square + conditional_drop(space, square, a)
+        remainder = remainder + resampled * inv_grads[a].apply(np.abs)
     return grads, inv_grads, carre, expectation(space, remainder)
 
 

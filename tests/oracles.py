@@ -18,7 +18,9 @@ table sliced at each coordinate's likeliest outcome and renormalised.
 copy of the table, then a product) and puts the axis back with
 `np.expand_dims`, and `tensordot_hoeffding_kernels` builds h_k and
 g_k = prod_j (I - E_j) h_k by the same contractions on k-dimensional tables:
-the routes that the one averaging kernel of `space` replaced.
+the routes that the one averaging kernel of `space` replaced;
+`take_resample_integral` is the per-outcome `np.take` loop that
+`stein.resample_integral` replaced with (D_aF)^2 + E_a (D_aF)^2.
 
 `dense_integrate_out` and `dense_from_evaluator` store every result on the
 full grid: the dense route that compact storage is checked against;
@@ -217,6 +219,20 @@ def tensordot_hoeffding_kernels(h, base):
             G = G - np.expand_dims(np.tensordot(G, pmf, axes=([j], [0])), j)
         degenerate.append(G)
     return theta, h_tables[1:], degenerate
+
+
+def take_resample_integral(space, F, a):
+    """int (F - F(X_{A-a}; x))^2 dP_a(x), summed over the outcomes x of coordinate a."""
+    space.check_axis(a)
+    if a not in F.deps:
+        return space.constant(0.0)
+    vals = F.data
+    pmf = space.coords[a].pmf
+    out = np.zeros_like(vals)
+    for o in range(space.shape[a]):
+        replaced = np.take(vals, [o], axis=a)
+        out += pmf[o] * (vals - replaced) ** 2
+    return Functional(space, out, deps=F.deps)
 
 
 def dense_integrate_out(space, F, axes):

@@ -2,8 +2,7 @@
 the Hoeffding kernels, against the `tensordot` routes it replaced.
 
 The spaces cover every product form of the kernel: the first stored axis
-(pre = 1), the last (post = 1), long rows (one BLAS call per leading index)
-and short rows (a k-term sum of strided slices).
+(pre = 1), the last (post = 1) and the axes between (one einsum pass).
 """
 
 import tracemalloc
@@ -20,9 +19,15 @@ from dmc.space import (
     rademacher_coordinate,
     rademacher_space,
 )
+from dmc.stein import resample_integral
 from dmc.ustat import SymmetricKernel, hoeffding_kernels
 
-from .oracles import sliced_weighted_sum, tensordot_hoeffding_kernels, tensordot_integrate_out
+from .oracles import (
+    sliced_weighted_sum,
+    take_resample_integral,
+    tensordot_hoeffding_kernels,
+    tensordot_integrate_out,
+)
 
 REL = 1e-15
 
@@ -74,6 +79,19 @@ def test_every_axis_subset_matches_tensordot(kind):
         assert abs(expectation(sp, F) - sliced_weighted_sum(sp, F.data)) <= tol
 
 
+@pytest.mark.parametrize("kind", SPACES)
+def test_resample_integral_matches_take_loop(kind):
+    sp = SPACES[kind]()
+    rng = np.random.default_rng(len(kind))
+    for F in _functionals(sp, rng):
+        for a in range(sp.n):
+            got = resample_integral(sp, F, a)
+            want = take_resample_integral(sp, F, a)
+            assert got.deps == want.deps
+            tol = REL * max(1.0, want.sup_norm())
+            assert np.max(np.abs(got.data - want.data)) <= tol, a
+
+
 def test_unsorted_and_repeated_axes():
     sp = SPACES["mixed234"]()
     F = _functionals(sp, np.random.default_rng(1))[0]
@@ -109,13 +127,14 @@ def test_hoeffding_kernels_match_tensordot(base, name):
 def test_middle_axis_holds_half_the_table():
     sp = rademacher_space(16)
     F = sp.from_table(np.random.default_rng(0).normal(size=sp.config_count))
-    integrate_out(sp, F, [8])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        integrate_out(sp, F, [8])
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # the averaged table is half of F; no transposed copy of F is made
-    assert peak <= 0.55 * F.data.nbytes
+    for axis in (8, 14):  # a long-row and a short-row middle axis
+        integrate_out(sp, F, [axis])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            integrate_out(sp, F, [axis])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the averaged table is half of F; no copy of F and no temporary is made
+        assert peak <= 0.55 * F.data.nbytes, axis
