@@ -58,7 +58,7 @@ from .semigroup import (
     resolvent,
     simulate_terminal,
 )
-from .space import expectation, rademacher_space
+from .space import rademacher_space
 from .stein import (
     KernelMatrix,
     fourth_moment_check,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb, prod
-from typing import Sequence
 
 import numpy as np
 

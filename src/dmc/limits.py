@@ -207,6 +207,11 @@ def poisson_form(
     expectation truncated (and renormalized) where the Poisson tail falls
     below `tail_eps`; the discarded tail mass is reported.  Linear
     functionals take the exact route sum_m c(anchor_m)^2 p_m.
+
+    The Monte-Carlo route evaluates F trials * (1 + sum_m (T_m + 1)) times,
+    T_m being cell m's truncation order.  Each perturbed configuration
+    w_(m) + tau e_m is built from the trial's occupied cells, so the work
+    per evaluation grows with the number of points, not with N.
     """
     if not tail_eps > 0:
         raise BadParameters(f"tail_eps must be > 0, got {tail_eps}")
@@ -219,24 +224,41 @@ def poisson_form(
     from scipy.stats import poisson
 
     N = scheme.N
-    orders = [_truncation_order(p[m], tail_eps, max_order) for m in range(N)]
-    pmf = []
-    for m, T in enumerate(orders):
-        w = poisson.pmf(np.arange(T + 1), p[m])
-        pmf.append(w / w.sum())
-    trunc = float(sum(poisson.sf(T, p[m]) for m, T in enumerate(orders)))
+    masses, kind = np.unique(p, return_inverse=True)
+    pmf, tails = [], []
+    for q in masses:
+        T = _truncation_order(q, tail_eps, max_order)
+        w = poisson.pmf(np.arange(T + 1), q)
+        pmf.append(list(w / w.sum()))
+        tails.append(poisson.sf(T, q))
+    trunc = float(sum(tails[k] for k in kind))
+    cell_pmf = [pmf[k] for k in kind]
+    anchors = np.asarray(scheme.anchors, dtype=float).tolist()
     per_trial = np.empty(trials)
     for s in range(trials):
         counts = rng.poisson(p)
-        actual = F.fn(configuration_from_counts(scheme.anchors, counts))
+        cells = np.flatnonzero(counts).tolist()
+        locs = tuple(anchors[m] for m in cells)
+        mults = tuple(counts[cells].tolist())
+        trial = PointConfiguration(locs, mults)
+        actual = F.fn(trial)
         total = 0.0
+        j = 0  # occupied cells before cell m
         for m in range(N):
-            saved = counts[m]
+            here = j < len(cells) and cells[j] == m
+            locs_lo, mults_lo = locs[:j], mults[:j]
+            locs_hi, mults_hi = locs[j + here :], mults[j + here :]
+            x = (anchors[m],)
             inner = 0.0
-            for tau, w in enumerate(pmf[m]):
-                counts[m] = tau
-                inner += w * F.fn(configuration_from_counts(scheme.anchors, counts))
-            counts[m] = saved
+            for tau, w in enumerate(cell_pmf[m]):
+                if tau:
+                    cfg = PointConfiguration(locs_lo + x + locs_hi, mults_lo + (tau,) + mults_hi)
+                elif here:
+                    cfg = PointConfiguration(locs_lo + locs_hi, mults_lo + mults_hi)
+                else:
+                    cfg = trial
+                inner += w * F.fn(cfg)
+            j += here
             total += (actual - inner) ** 2
         per_trial[s] = total
     return FormReport(
@@ -247,6 +269,24 @@ def poisson_form(
     )
 
 
+def _process_sampler(density: Callable) -> Callable:
+    """Draw function of the unit-mass Poisson process, its CDF tabulated once."""
+    grid = np.linspace(0.0, 1.0, DENSITY_GRID + 1)
+    d = np.maximum(np.asarray(density(grid), dtype=float), 0.0)
+    cdf = np.concatenate([[0.0], cumulative_trapezoid(d, grid)])
+    cdf /= cdf[-1]
+
+    def draw(rng: np.random.Generator) -> PointConfiguration:
+        k = rng.poisson(1.0)
+        locs = np.interp(rng.uniform(size=k), cdf, grid)
+        cfg = PointConfiguration((), ())
+        for x in locs:
+            cfg = cfg.add(float(x))
+        return cfg
+
+    return draw
+
+
 def sample_poisson_process(
     scheme_or_density, rng: np.random.Generator
 ) -> PointConfiguration:
@@ -255,16 +295,7 @@ def sample_poisson_process(
         density = scheme_or_density.density
     else:
         density = scheme_or_density
-    grid = np.linspace(0.0, 1.0, DENSITY_GRID + 1)
-    d = np.maximum(np.asarray(density(grid), dtype=float), 0.0)
-    cdf = np.concatenate([[0.0], cumulative_trapezoid(d, grid)])
-    cdf /= cdf[-1]
-    k = rng.poisson(1.0)
-    locs = np.interp(rng.uniform(size=k), cdf, grid)
-    cfg = PointConfiguration((), ())
-    for x in locs:
-        cfg = cfg.add(float(x))
-    return cfg
+    return _process_sampler(density)(rng)
 
 
 def poisson_limit(
@@ -280,9 +311,10 @@ def poisson_limit(
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     x = 0.5 * (nodes + 1.0)
     w = 0.5 * weights * np.asarray(density(x), dtype=float)
+    draw = _process_sampler(density)
     per_trial = np.empty(trials)
     for s in range(trials):
-        cfg = sample_poisson_process(density, rng)
+        cfg = draw(rng)
         base = F.fn(cfg)
         diffs = np.array([F.fn(cfg.add(float(xi))) - base for xi in x])
         per_trial[s] = float(np.sum(w * diffs**2))

@@ -20,7 +20,7 @@ stored on a space exceeds `exact_ceiling` entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Sequence
 

@@ -34,6 +34,11 @@ the per-(B, b) gradients of the symmetric Clark groups, the prefix-conditional
 covariance identity, the per-outcome loop of the resampled Gaussian bound,
 the two-average log-Sobolev energy, the full-grid mask of `exact_tail`, and
 the Poisson form that evaluates F at a trial's configuration once per cell.
+
+`dense_counts_poisson_form` builds each perturbed configuration of the
+Poisson form from all N counts, the route that `poisson_form` replaced by
+editing the trial's occupied cells, and `per_draw_cdf_poisson_limit`
+tabulates the process CDF again for every draw of `poisson_limit`.
 """
 
 from itertools import combinations
@@ -43,7 +48,12 @@ import numpy as np
 from scipy.stats import poisson
 
 from dmc.calculus import anova, gradient_component
-from dmc.limits import FormReport, _truncation_order, configuration_from_counts
+from dmc.limits import (
+    FormReport,
+    _truncation_order,
+    configuration_from_counts,
+    sample_poisson_process,
+)
 from dmc.space import (
     Functional,
     ProductSpace,
@@ -376,6 +386,58 @@ def per_cell_poisson_form(F, scheme, rng, trials, tail_eps=1e-9, max_order=400):
             counts[m] = saved
             total += (actual - inner) ** 2
         per_trial[s] = total
+    return FormReport(
+        value=float(per_trial.mean()),
+        se=float(per_trial.std(ddof=1) / sqrt(trials)),
+        exact=False,
+    )
+
+
+def dense_counts_poisson_form(
+    F, scheme, tail_eps=1e-9, rng=None, trials=0, max_order=400
+):
+    """Monte-Carlo Poisson form rebuilding every configuration from all N counts."""
+    p = scheme.masses
+    N = scheme.N
+    orders = [_truncation_order(p[m], tail_eps, max_order) for m in range(N)]
+    pmf = []
+    for m, T in enumerate(orders):
+        w = poisson.pmf(np.arange(T + 1), p[m])
+        pmf.append(w / w.sum())
+    trunc = float(sum(poisson.sf(T, p[m]) for m, T in enumerate(orders)))
+    per_trial = np.empty(trials)
+    for s in range(trials):
+        counts = rng.poisson(p)
+        actual = F.fn(configuration_from_counts(scheme.anchors, counts))
+        total = 0.0
+        for m in range(N):
+            saved = counts[m]
+            inner = 0.0
+            for tau, w in enumerate(pmf[m]):
+                counts[m] = tau
+                inner += w * F.fn(configuration_from_counts(scheme.anchors, counts))
+            counts[m] = saved
+            total += (actual - inner) ** 2
+        per_trial[s] = total
+    return FormReport(
+        value=float(per_trial.mean()),
+        se=float(per_trial.std(ddof=1) / sqrt(trials)),
+        exact=False,
+        truncation_bound=trunc,
+    )
+
+
+def per_draw_cdf_poisson_limit(F, density, rng, trials=2000, quad_points=32):
+    """Poisson limit form tabulating the process CDF again for every draw."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    x = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights * np.asarray(density(x), dtype=float)
+    per_trial = np.empty(trials)
+    for s in range(trials):
+        cfg = sample_poisson_process(density, rng)
+        base = F.fn(cfg)
+        diffs = np.array([F.fn(cfg.add(float(xi))) - base for xi in x])
+        per_trial[s] = float(np.sum(w * diffs**2))
     return FormReport(
         value=float(per_trial.mean()),
         se=float(per_trial.std(ddof=1) / sqrt(trials)),

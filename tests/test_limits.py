@@ -28,7 +28,11 @@ from dmc.limits import (
     walk_limit,
     weighted_integral_functional,
 )
-from .oracles import per_cell_poisson_form
+from .oracles import (
+    dense_counts_poisson_form,
+    per_cell_poisson_form,
+    per_draw_cdf_poisson_limit,
+)
 
 TOL = 1e-12
 
@@ -39,6 +43,23 @@ def uniform(x):
 
 def triangular(x):
     return 2.0 * np.asarray(x, dtype=float)
+
+
+def recorded(fn):
+    """Functional that keeps every configuration it is evaluated at."""
+    calls = []
+
+    def record(w):
+        calls.append(w)
+        return fn(w)
+
+    return PointFunctional(name="recorded", fn=record), calls
+
+
+def located_mass(w):
+    """Order-sensitive and location-weighted: sum_i (i + 1) x_i m_i, plus a cap."""
+    weighted = sum((i + 1) * x * m for i, (x, m) in enumerate(zip(w.locations, w.multiplicities)))
+    return sqrt(weighted) + min(w.total_mass, 2)
 
 
 class TestPartitionScheme:
@@ -132,13 +153,14 @@ class TestPoissonForm:
     def test_tail_eps_validation_and_truncation_failure(self):
         sch = poisson_scheme(uniform, 2)
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        F, calls = recorded(located_mass)
         with pytest.raises(BadParameters):
-            poisson_form(capped_mass_functional(), sch, tail_eps=0.0, rng=rng, trials=10)
+            poisson_form(F, sch, tail_eps=0.0, rng=rng, trials=10)
         with pytest.raises(TruncationFailure):
-            poisson_form(
-                capped_mass_functional(), sch, tail_eps=1e-12,
-                rng=rng, trials=10, max_order=1,
-            )
+            poisson_form(F, sch, tail_eps=1e-12, rng=rng, trials=10, max_order=1)
+        # both are raised before any trial draws or evaluates F
+        assert calls == [] and rng.bit_generator.state == state
 
     def test_one_evaluation_of_the_trial_configuration(self):
         calls = []
@@ -155,6 +177,58 @@ class TestPoissonForm:
         assert len(calls) == trials * (1 + sum(T + 1 for T in orders))
         old = per_cell_poisson_form(F, sch, np.random.default_rng(3), trials)
         assert (rep.value, rep.se) == (old.value, old.se)
+
+    @staticmethod
+    def assert_same_route(sch, tail_eps, seed=5, trials=6):
+        F, calls = recorded(located_mass)
+        rep = poisson_form(F, sch, tail_eps=tail_eps, rng=np.random.default_rng(seed), trials=trials)
+        G, want = recorded(located_mass)
+        old = dense_counts_poisson_form(
+            G, sch, tail_eps=tail_eps, rng=np.random.default_rng(seed), trials=trials
+        )
+        assert calls == want
+        assert (rep.value, rep.se, rep.truncation_bound) == (old.value, old.se, old.truncation_bound)
+        assert all(
+            type(x) is float and type(k) is int
+            for w in calls
+            for x, k in zip(w.locations, w.multiplicities)
+        )
+        orders = [_truncation_order(q, tail_eps, TRUNCATION_CAP) for q in sch.masses]
+        assert len(calls) == trials * (1 + sum(T + 1 for T in orders))
+        return calls, orders
+
+    @pytest.mark.parametrize("density", [uniform, triangular])
+    @pytest.mark.parametrize("N", [1, 2, 6, 64])
+    @pytest.mark.parametrize("tail_eps", [1e-9, 0.9])
+    def test_occupied_cells_route_matches_dense_counts(self, N, density, tail_eps):
+        calls, orders = self.assert_same_route(poisson_scheme(density, N), tail_eps)
+        if tail_eps == 0.9:
+            assert orders == [0] * N  # every inner expectation is F at tau = 0
+        if N <= 2:
+            # seed 5 puts two or more points in one cell, so the occupied-cell
+            # and drop branches run
+            assert max(k for w in calls for k in w.multiplicities) >= 2
+
+    def test_unequal_masses_match_dense_counts(self):
+        sch = PartitionScheme(
+            N=5,
+            masses=np.array([0.6, 0.1, 0.25, 0.01, 0.04]),
+            anchors=np.array([0.1, 0.3, 0.5, 0.7, 0.9]),
+            boundaries=np.linspace(0.0, 1.0, 6),
+            density=uniform,
+            mass_bound_constant=2.0,
+        )
+        _, orders = self.assert_same_route(sch, 1e-9, trials=8)
+        assert len(set(orders)) == 5
+
+    def test_no_rebuild_from_all_counts(self, monkeypatch):
+        def refuse(anchors, counts):
+            raise AssertionError("configuration rebuilt from all N counts")
+
+        monkeypatch.setattr("dmc.limits.configuration_from_counts", refuse)
+        sch = poisson_scheme(uniform, 1024)
+        rep = poisson_form(capped_mass_functional(), sch, rng=np.random.default_rng(1), trials=2)
+        assert rep.value >= 0.0 and not rep.exact
 
     def test_standard_error_needs_two_trials(self):
         rng = np.random.default_rng(0)
@@ -181,6 +255,13 @@ class TestPoissonLimit:
         rng = np.random.default_rng(2)
         rep = poisson_limit(capped_mass_functional(), uniform, rng, trials=4000)
         assert abs(rep.value - exp(-1.0)) <= 4.0 * max(rep.se, 1e-3)
+
+    @pytest.mark.parametrize("density", [uniform, triangular])
+    def test_one_cdf_per_call_matches_per_draw_cdf(self, density):
+        F = PointFunctional(name="located", fn=located_mass)
+        rep = poisson_limit(F, density, np.random.default_rng(11), trials=300)
+        old = per_draw_cdf_poisson_limit(F, density, np.random.default_rng(11), trials=300)
+        assert (rep.value, rep.se) == (old.value, old.se)
 
     def test_constant_limit_zero(self):
         rng = np.random.default_rng(3)
