@@ -24,6 +24,7 @@ from .errors import ExactModeOverflow, NotCentered
 from .space import (
     Functional,
     ProductSpace,
+    _average,
     conditional_drop,
     conditional_prefix,
     expectation,
@@ -74,10 +75,18 @@ def divergence(space: ProductSpace, U: CoordinateField) -> Functional:
 
 
 def number_operator(space: ProductSpace, F: Functional) -> Functional:
-    out = space.constant(0.0)
-    for a in sorted(F.deps):
-        out = out - gradient_component(space, F, a)
-    return out
+    """L F = -sum_a D_a F = sum_a E_a F - |dep(F)| F.
+
+    The averages are added one by one into a single table of F's shape, so
+    L holds that table and one average at a time, never n gradients.
+    """
+    deps = sorted(F.deps)
+    if not deps:
+        return space.constant(0.0)
+    out = F.data * -float(len(deps))
+    for a in deps:
+        out += conditional_drop(space, F, a).data
+    return Functional(space, out, F.deps)
 
 
 class AnovaDecomposition:
@@ -139,11 +148,26 @@ def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
 
     Each coordinate is kept with probability u and averaged out otherwise,
     so the ANOVA component on S is multiplied by u^|S - frozen|.
+    The running table is updated in place, out = u out + (1-u) E_a out, so
+    only the first coordinate allocates it; F's own array is never written.
     """
-    out = F
-    for a in sorted(F.deps - frozenset(frozen)):
-        out = out * u + conditional_drop(space, out, a) * (1.0 - u)
-    return out
+    axes = sorted(F.deps - frozenset(frozen))
+    if not axes:
+        return F
+    out, owned = F.data, False
+    for a in axes:
+        averaged, shape = _average(space, out, [a])
+        if out.shape[a] == 1:  # E_a is the identity and returned `out` itself
+            averaged = averaged * (1.0 - u)
+        else:
+            averaged *= 1.0 - u
+        if owned:
+            out *= u
+        else:
+            out, owned = out * u, True
+        out += averaged.reshape(shape)
+        del averaged  # before the next average is allocated
+    return Functional(space, out, F.deps)
 
 
 def legendre_integral(space: ProductSpace, integrand, degree: int) -> Functional:

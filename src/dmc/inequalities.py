@@ -14,7 +14,6 @@ from .space import (
     expectation,
     resolve_order,
 )
-from .calculus import gradient_component
 
 
 def entropy(space: ProductSpace, G: Functional) -> float:
@@ -50,13 +49,26 @@ def concentration(space: ProductSpace, F: Functional, order=None):
     """(M, tail bound x -> exp(-x^2 / 2M)) for P(F - E[F] >= x).
 
     M = sup over configurations of sum_k |D_kF| * E[|D_kF| | F_k].
+
+    Each coordinate fills one |D_kF| table in place (the difference, its
+    absolute value, then the product with its prefix average) and adds it
+    to the running total; E_kF and the prefix average are freed once used.
+    A coordinate F ignores adds zero and is skipped.
     """
     order = resolve_order(space, order)
-    total = space.constant(0.0)
+    total = None
     for pos, k in enumerate(order, start=1):
-        absD = gradient_component(space, F, k).abs()
-        total = total + absD * conditional_prefix(space, absD, pos, order)
-    M = float(np.max(total.data))
+        if k not in F.deps:
+            continue
+        term = F.data - conditional_drop(space, F, k).data
+        np.abs(term, out=term)
+        term *= conditional_prefix(space, Functional(space, term, F.deps), pos, order).data
+        if total is None:
+            total = term
+        else:
+            total += term
+        del term  # before the next coordinate's table is allocated
+    M = 0.0 if total is None else float(np.max(total))
 
     def tail_bound(x: float) -> float:
         if M == 0.0:

@@ -434,8 +434,11 @@ def walk_form(
     fresh = rng.normal(size=(trials, inner))
     inner_mean = fresh.mean(axis=1)
     per_trial = -np.sum(c * c) * fresh.var(axis=1, ddof=1) / inner
-    for k in range(scheme.N):
-        per_trial += (c[k] * (steps[:, k] - inner_mean)) ** 2
+    # sum_k c_k^2 (step_k - inner mean)^2 in place over the steps; einsum, not
+    # a BLAS gemv, whose work buffer would raise the peak RSS by a trials vector
+    steps -= inner_mean[:, None]
+    np.square(steps, out=steps)
+    per_trial += np.einsum("tk,k->t", steps, c * c)
     return FormReport(
         value=float(per_trial.mean()),
         se=float(per_trial.std(ddof=1) / sqrt(trials)),

@@ -39,6 +39,16 @@ the Poisson form that evaluates F at a trial's configuration once per cell.
 Poisson form from all N counts, the route that `poisson_form` replaced by
 editing the trial's occupied cells, and `per_draw_cdf_poisson_limit`
 tabulates the process CDF again for every draw of `poisson_limit`.
+
+The full-grid operators hold O(1) tables; these are the routes they
+replaced, each holding a table per coordinate or per term:
+`gradient_sum_number_operator` subtracts the n gradients D_aF one by one,
+`gradient_energy_poincare` squares each D_aF, `allocating_mix` and
+`allocating_concentration` make a new table for every arithmetic step,
+`full_row_gram` is the blocked GEMM of `decompose._gram` over every Clark
+term as a full-grid row, `in_order_residual` adds the Clark terms in report
+order, and `column_loop_walk_form` adds the Monte-Carlo walk form one step
+column at a time.
 """
 
 from itertools import combinations
@@ -48,6 +58,7 @@ import numpy as np
 from scipy.stats import poisson
 
 from dmc.calculus import anova, gradient_component
+from dmc.decompose import _gram
 from dmc.limits import (
     FormReport,
     _truncation_order,
@@ -62,6 +73,8 @@ from dmc.space import (
     conditional_prefix,
     expectation,
     integrate_out,
+    resolve_order,
+    variance,
 )
 from dmc.stein import _stein_terms
 from dmc.ustat import _require_iid, hoeffding_kernels
@@ -438,6 +451,67 @@ def per_draw_cdf_poisson_limit(F, density, rng, trials=2000, quad_points=32):
         base = F.fn(cfg)
         diffs = np.array([F.fn(cfg.add(float(xi))) - base for xi in x])
         per_trial[s] = float(np.sum(w * diffs**2))
+    return FormReport(
+        value=float(per_trial.mean()),
+        se=float(per_trial.std(ddof=1) / sqrt(trials)),
+        exact=False,
+    )
+
+
+def gradient_sum_number_operator(space, F):
+    """L F = -sum_a D_a F, subtracting one gradient table per coordinate."""
+    out = space.constant(0.0)
+    for a in sorted(F.deps):
+        out = out - gradient_component(space, F, a)
+    return out
+
+
+def gradient_energy_poincare(space, F):
+    """(var(F), sum_a E[(D_aF)^2]), squaring one gradient table per coordinate."""
+    energy = 0.0
+    for a in sorted(F.deps):
+        DaF = gradient_component(space, F, a)
+        energy += expectation(space, DaF * DaF)
+    return variance(space, F), energy
+
+
+def allocating_mix(space, F, u, frozen=()):
+    """M_u F with a new running table for every product and sum."""
+    out = F
+    for a in sorted(F.deps - frozenset(frozen)):
+        out = out * u + conditional_drop(space, out, a) * (1.0 - u)
+    return out
+
+
+def allocating_concentration(space, F, order=None):
+    """M = sup sum_k |D_kF| E[|D_kF| | F_k], a new table for every step."""
+    order = resolve_order(space, order)
+    total = space.constant(0.0)
+    for pos, k in enumerate(order, start=1):
+        absD = gradient_component(space, F, k).abs()
+        total = total + absD * conditional_prefix(space, absD, pos, order)
+    return float(np.max(total.data))
+
+
+def full_row_gram(space, terms):
+    """E[T_i T_j] by the blocked GEMM over every term as a full-grid row."""
+    return _gram(space, terms)
+
+
+def in_order_residual(space, F, terms):
+    """sup |E[F] + sum(terms) - F|, adding the terms in report order."""
+    return (sum(terms, space.constant(expectation(space, F))) - F).sup_norm()
+
+
+def column_loop_walk_form(F, scheme, rng, trials, inner=64):
+    """Monte-Carlo walk form adding (c_k (step_k - inner mean))^2 column by column."""
+    c = np.asarray(F.coeffs(scheme.N), dtype=float)
+    steps = scheme.sample_steps(rng, trials)
+    fresh = rng.normal(size=(trials, inner))
+    inner_mean = fresh.mean(axis=1)
+    per_trial = -np.sum(c * c) * fresh.var(axis=1, ddof=1) / inner
+    for k in range(scheme.N):
+        per_trial += (c[k] * (steps[:, k] - inner_mean)) ** 2
     return FormReport(
         value=float(per_trial.mean()),
         se=float(per_trial.std(ddof=1) / sqrt(trials)),

@@ -1,0 +1,237 @@
+"""Full-grid operators that hold O(1) tables, against the routes they replaced.
+
+`number_operator` sums the averages E_aF into one table, `poincare` takes
+the energy as the Dirichlet form -E[(F - E F) LF], `mix` and `concentration`
+update one running table in place, and `clark` and `clark_reverse` take the
+report Gram along their drop chain.  Each is checked against its old route
+in `oracles`, on every input it could alias, and against a tracemalloc
+budget on a full fair table.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dmc import calculus, semigroup
+from dmc.calculus import invert_number_operator, mix, number_operator
+from dmc.decompose import clark, clark_reverse, poincare
+from dmc.inequalities import concentration
+from dmc.limits import WalkScheme, time_integral_functional, walk_form
+from dmc.semigroup import mehler_apply, resolvent
+from dmc.space import (
+    Coordinate,
+    build_space,
+    expectation,
+    rademacher_coordinate,
+    rademacher_space,
+)
+from .oracles import (
+    allocating_concentration,
+    allocating_mix,
+    column_loop_walk_form,
+    full_row_gram,
+    gradient_energy_poincare,
+    gradient_sum_number_operator,
+    in_order_residual,
+)
+from .test_quadrature_routes import _mixed_space
+
+REL = 1e-14
+KINDS = ["fair", "biased", "mixed"]
+
+
+def _space(kind):
+    if kind == "fair":
+        return rademacher_space(6)
+    if kind == "biased":
+        return build_space([rademacher_coordinate(f"x{i}", p=0.2) for i in range(6)])
+    return _mixed_space((2, 3, 4, 3, 2, 4), np.random.default_rng(4))
+
+
+def _on(sp, table, deps):
+    return sp.from_evaluator(
+        lambda cfg: table[tuple(v if a in deps else 0 for a, v in enumerate(cfg))], deps
+    )
+
+
+def _functionals(sp, rng):
+    """A full table, a compact one on two coordinates, and one that ignores coordinate 2."""
+    table = rng.normal(size=sp.shape)
+    return (
+        sp.from_table(rng.normal(size=sp.config_count)),
+        _on(sp, table, {1, 3}),
+        _on(sp, table, set(range(sp.n)) - {2}),
+    )
+
+
+ORDERS = [None, [3, 0, 5, 2, 4, 1]]
+
+
+def _same(got, want):
+    """Bitwise equal tables (signed zeros included) with equal dependency sets."""
+    assert got.deps == want.deps
+    assert got.data.shape == want.data.shape
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_number_operator_matches_the_gradient_sum(kind):
+    sp = _space(kind)
+    for F in _functionals(sp, np.random.default_rng(1)):
+        got, want = number_operator(sp, F), gradient_sum_number_operator(sp, F)
+        assert got.deps == want.deps and got.data.shape == want.data.shape
+        assert np.max(np.abs(got.data - want.data)) <= REL * F.scale()
+    assert number_operator(sp, sp.constant(2.5)).data.tobytes() == sp.constant(0.0).data.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_poincare_energy_is_the_dirichlet_form(kind):
+    sp = _space(kind)
+    for F in _functionals(sp, np.random.default_rng(2)):
+        (var, energy), (old_var, old_energy) = poincare(sp, F), gradient_energy_poincare(sp, F)
+        assert var == old_var
+        assert abs(energy - old_energy) <= REL * F.scale() ** 2
+        assert var <= energy + REL * F.scale() ** 2
+    assert poincare(sp, sp.constant(-1.5)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mixing_routes_are_bit_identical(kind, monkeypatch):
+    sp = _space(kind)
+    cases = []
+    for F in _functionals(sp, np.random.default_rng(3)):
+        for u, frozen in ((0.3, ()), (0.77, {1})):
+            _same(mix(sp, F, u, frozen), allocating_mix(sp, F, u, frozen))
+        centred = F - expectation(sp, F)
+        cases.append((F, centred, mehler_apply(sp, F, 0.4, frozen={3}),
+                      invert_number_operator(sp, centred), resolvent(sp, F, frozen={0})))
+    # P_t, L^-1 and the resolvent again, over the allocating M_u
+    monkeypatch.setattr(calculus, "mix", allocating_mix)
+    monkeypatch.setattr(semigroup, "mix", allocating_mix)
+    for F, centred, P, inverse, R in cases:
+        _same(P, mehler_apply(sp, F, 0.4, frozen={3}))
+        _same(inverse, invert_number_operator(sp, centred))
+        _same(R, resolvent(sp, F, frozen={0}))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_concentration_is_bit_identical(kind, order):
+    sp = _space(kind)
+    for F in _functionals(sp, np.random.default_rng(4)):
+        M, bound = concentration(sp, F, order)
+        assert M == allocating_concentration(sp, F, order)
+        assert bound(1.0) == (np.exp(-1.0 / (2.0 * M)) if M > 0.0 else 0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_chain_gram_matches_the_full_row_gram(kind, order):
+    sp = _space(kind)
+    for F in _functionals(sp, np.random.default_rng(5)):
+        scale = F.scale()
+        for rep in (clark(sp, F, order), clark_reverse(sp, F, order)):
+            assert np.max(np.abs(rep.gram - full_row_gram(sp, rep.terms))) <= REL * scale**2
+            assert abs(rep.residual - in_order_residual(sp, F, rep.terms)) <= REL * scale
+            assert rep.variance_pair[1] == float(np.trace(rep.gram))
+            # a coordinate F ignores has the constant term 0, whose row is exactly 0
+            for i, k in enumerate(rep.order):
+                if k not in F.deps:
+                    assert rep.terms[i].sup_norm() == 0.0
+                    assert not rep.gram[i].any() and not rep.gram[:, i].any()
+
+
+def _with_single_outcomes():
+    """Mixed coordinates with one-outcome coordinates at 0 and 3."""
+    sizes = (1, 2, 3, 1, 2)
+    return build_space([
+        Coordinate(id=f"s{i}", labels=tuple(str(v) for v in range(k)), pmf=np.full(k, 1.0 / k))
+        for i, k in enumerate(sizes)
+    ])
+
+
+def test_operators_never_write_their_input():
+    sp = _with_single_outcomes()
+    rng = np.random.default_rng(6)
+    table = rng.normal(size=sp.config_count)
+    held = table.copy()
+    F = sp.from_table(table)
+    assert np.shares_memory(F.data, table)  # from_table keeps the caller's array
+    compact = _on(sp, rng.normal(size=sp.shape), {0, 2, 3})  # stored length 1 on axes 0, 3
+    operations = {
+        "mix": lambda G: mix(sp, G, 0.4),
+        "mehler_apply": lambda G: mehler_apply(sp, G, 0.3),
+        "number_operator": lambda G: number_operator(sp, G),
+        "poincare": lambda G: poincare(sp, G),
+        "concentration": lambda G: concentration(sp, G, [4, 3, 2, 1, 0]),
+        "clark": lambda G: clark(sp, G),
+        "clark_reverse": lambda G: clark_reverse(sp, G, [2, 0, 4, 3, 1]),
+    }
+    for G in (F, compact):
+        before = G.data.tobytes()
+        for name, op in operations.items():
+            op(G)
+            assert G.data.tobytes() == before, name
+        _same(mix(sp, G, 0.4), allocating_mix(sp, G, 0.4))
+        assert concentration(sp, G)[0] == allocating_concentration(sp, G)
+    assert table.tobytes() == held.tobytes()
+
+
+def _peak_in_tables(call, F):
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return (peak - 4096) / F.data.nbytes  # 4 KiB covers the array headers
+
+
+# peaks on a full fair n = 16 table, in tables; the replaced routes read
+# mix 3.64, number_operator 3.01, poincare 2.76, concentration 4.01, clark 20.2
+PEAK_TABLES = {
+    "mix": (lambda sp, F: mix(sp, F, 0.3), 1.64),
+    "number_operator": (number_operator, 1.64),
+    "poincare": (poincare, 2.01),
+    "concentration": (concentration, 2.76),
+    "clark": (clark, 4.06),
+    "clark_reverse": (clark_reverse, 4.06),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEAK_TABLES))
+def test_full_grid_operators_hold_a_few_tables(name):
+    sp = rademacher_space(16)
+    F = sp.from_table(np.random.default_rng(0).normal(size=sp.config_count))
+    op, bound = PEAK_TABLES[name]
+    assert _peak_in_tables(lambda: op(sp, F), F) <= bound
+
+
+@pytest.mark.parametrize("N", [1, 8, 64])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_walk_form_matches_the_column_loop(N, seed):
+    F, scheme = time_integral_functional(), WalkScheme(N)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = walk_form(F, scheme, rng=rng_new, trials=400)
+    old = column_loop_walk_form(F, scheme, rng_old, trials=400)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state  # same draws
+    assert abs(new.value - old.value) <= REL * abs(old.value)
+    assert abs(new.se - old.se) <= 1e-12 * old.se
+    assert not new.exact
+
+
+def test_walk_form_allocates_no_second_step_table():
+    F, scheme, trials = time_integral_functional(), WalkScheme(256), 1000
+    walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    steps, fresh = 8 * trials * scheme.N, 8 * trials * 64
+    assert peak <= steps + fresh + 0.5 * steps
