@@ -16,6 +16,7 @@ coordinate subsets.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Mapping
 
 import numpy as np
@@ -121,26 +122,28 @@ def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
     """Hoeffding decomposition F_S = prod_{a in S} (I - E_a) prod_{a not in S} E_a F.
 
     Each coordinate a splits every node G (keyed by S) into E_a G under S and
-    G - E_a G under S + {a}: 2^|deps| - 1 applications of E_a.  An exactly
-    zero node has zero descendants and is dropped; the empty node is kept.
+    G - E_a G under S + {a}: 2^|deps| - 1 applications of E_a, on bare
+    arrays.  An exactly zero node has zero descendants and is dropped; the
+    empty node is kept.  A node holding NaN is kept, so `reconstruct` shows it.
     """
     deps = sorted(F.deps)
     if len(deps) > MAX_ANOVA_COORDS:
         raise ExactModeOverflow(
             f"ANOVA over {len(deps)} coordinates exceeds the {MAX_ANOVA_COORDS}-coordinate cap"
         )
-    components: Dict[FrozenSet[int], Functional] = {frozenset(): F}
+    nodes = {frozenset(): F.data}
     for a in deps:
         split = {}
-        for S, G in components.items():
-            averaged = conditional_drop(space, G, a)
+        for S, G in nodes.items():
+            v, shape = _average(space, G, [a])
+            averaged = v.reshape(shape)
             kept = G - averaged
-            if not S or averaged.sup_norm() > 0.0:
+            if not S or averaged.any():
                 split[S] = averaged
-            if kept.sup_norm() > 0.0:
+            if kept.any():
                 split[S | {a}] = kept
-        components = split
-    return AnovaDecomposition(space, components)
+        nodes = split
+    return AnovaDecomposition(space, {S: Functional(space, G, S) for S, G in nodes.items()})
 
 
 def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
@@ -176,11 +179,21 @@ def legendre_integral(space: ProductSpace, integrand, degree: int) -> Functional
     `integrand` maps u to a Functional.  With degree // 2 + 1 nodes the rule
     is exact when the integrand is a polynomial in u of degree <= `degree`.
     """
-    x, w = np.polynomial.legendre.leggauss(max(degree, 0) // 2 + 1)
     out = space.constant(0.0)
-    for xi, wi in zip(x, w):
-        out = out + integrand(0.5 * (1.0 + float(xi))) * (0.5 * float(wi))
+    for u, weight in legendre_nodes(degree):
+        out = out + integrand(u) * weight
     return out
+
+
+@lru_cache(maxsize=64)
+def legendre_nodes(degree: int) -> tuple:
+    """(u, weight) of the degree // 2 + 1 Gauss-Legendre nodes on [0, 1].
+
+    Cached: `leggauss` solves an eigenproblem, as costly as a whole call on
+    a space of a few coordinates.
+    """
+    x, w = np.polynomial.legendre.leggauss(max(degree, 0) // 2 + 1)
+    return tuple((0.5 * (1.0 + float(xi)), 0.5 * float(wi)) for xi, wi in zip(x, w))
 
 
 def invert_number_operator(space: ProductSpace, F: Functional) -> Functional:

@@ -2,9 +2,11 @@
 
 A Clark representation writes F - E[F] as a sum of predictable increments
 T_k = D_k E[F | F_k] along a coordinate ordering; the reverse form uses the
-backward filtration, and the symmetric form averages over all orderings via
-a subset expansion.  Every term is a difference of conditional expectations
-taken from one chain (or tree) of single-coordinate averages.  The Helmholtz
+backward filtration, and the symmetric form averages the forward form over
+all orderings, one term per coordinate.  The forward and reverse terms are
+differences of conditional expectations taken from one chain of
+single-coordinate averages; the symmetric terms are Gauss-Legendre integrals
+of the mixing operator M_u with one coordinate left out.  The Helmholtz
 decomposition splits a coordinate field into a gradient part and a
 divergence-free part.
 """
@@ -13,12 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
-from .errors import ExactModeOverflow
 from .space import (
     Functional,
     ProductSpace,
@@ -35,11 +35,12 @@ from .calculus import (
     gradient,
     gradient_component,
     invert_number_operator,
+    legendre_nodes,
+    mix,
     number_operator,
 )
 from .semigroup import resolvent
 
-MAX_SYMMETRIC_COORDS = 12
 GRAM_BLOCK_BYTES = 32 * 2**20
 
 
@@ -116,11 +117,16 @@ def _report(space, F, order, terms, gram) -> DecompositionReport:
     `clark` and `clark_reverse` pass `_chain_gram` of their drop chain;
     `clark_symmetric`, whose term supports are not nested, passes the
     blocked `_gram`.  The residual adds the terms smallest first, so the
-    running sum stays compact until the largest term joins it.
+    running sum stays compact until the largest term joins it, and adds
+    each into the sum's own array once the sum covers that term's shape.
     """
     mean = expectation(space, F)
-    by_size = sorted(terms, key=lambda T: T.data.size)
-    residual = (sum(by_size, space.constant(mean)) - F).sup_norm()
+    total = np.full((1,) * space.n, mean)
+    for x in sorted((T.data for T in terms), key=np.size):
+        total = _add_into(total, x)
+    total = _add_into(total, F.data, np.subtract)
+    residual = float(np.max(np.abs(total, out=total)))
+    del total  # before variance makes its own full-grid temporary
     var_pair = (variance(space, F), float(np.trace(gram)))
     return DecompositionReport(
         order=tuple(order),
@@ -130,6 +136,13 @@ def _report(space, F, order, terms, gram) -> DecompositionReport:
         gram=gram,
         variance_pair=var_pair,
     )
+
+
+def _add_into(total: np.ndarray, x: np.ndarray, op=np.add) -> np.ndarray:
+    """op(total, x), written into `total` when its compact shape covers x's."""
+    if all(map(int.__ge__, total.shape, x.shape)):
+        return op(total, x, out=total)
+    return op(total, x)
 
 
 def _drop_chain_increments(space: ProductSpace, F: Functional, axes) -> list:
@@ -173,37 +186,50 @@ def clark_reverse(space: ProductSpace, F: Functional, order=None) -> Decompositi
 
 
 def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
-    """Order-free form: sum over subsets B of C(n,|B|)^{-1} |B|^{-1} sum_b D_b E[F|X_B].
+    """Order-free form: terms[b] is coordinate b's forward term averaged over all orders.
 
-    Every E[F|X_B] comes from one drop tree, E[F|X_{B-a}] = E_a E[F|X_B], and
-    D_b E[F|X_B] = E[F|X_B] - E[F|X_{B-b}] for b in B, so the size-r terms
-    need only the size-r and size-(r-1) conditionals; smaller ones are freed.
+    That average is D_b int_0^1 prod_{a != b} (uI + (1-u)E_a) F du, the
+    `symmetric_coordinate_term` of b (the constant 0 if F ignores b), so the
+    n terms sum to F - E[F].  They are not orthogonal: the Gram entries sum
+    to var(F), and row b sums to E[T_b (F - E F)], the Shapley effect of
+    coordinate b (Owen 2014).
 
-    The per-subset terms reconstruct F - E[F] exactly but are not mutually
-    orthogonal (components of different subsets overlap), so the Gram matrix
-    of this report is informational only.
+    The integrand has degree |dep(F)| - 1 in u.  At each Gauss-Legendre node
+    one divide and conquer over the coordinates gives every leave-one-out
+    product: apply one half's factors and recurse into the other half, then
+    swap the halves.  A node costs n log2 n applications of E_a, not n(n-1),
+    and holds log2 n tables besides the n running integrals.
     """
-    n = space.n
-    if n > MAX_SYMMETRIC_COORDS:
-        raise ExactModeOverflow(
-            f"symmetric form over {n} coordinates exceeds the "
-            f"{MAX_SYMMETRIC_COORDS}-coordinate cap"
-        )
-    cond = {frozenset(range(n)): F}
-    for a in range(n):
-        for B, G in list(cond.items()):
-            cond[B - {a}] = conditional_drop(space, G, a)
+    deps = sorted(F.deps)
+    every = frozenset(range(space.n))
+    integrals = {}
+
+    def leave_one_out(G, coords, u, weight):
+        if len(coords) == 1:
+            b = coords[0]
+            if b in integrals:
+                integrals[b] += G.data * weight
+            else:
+                integrals[b] = G.data * weight
+            return
+        half = len(coords) // 2
+        left, right = coords[:half], coords[half:]
+        leave_one_out(mix(space, G, u, every.difference(right)), left, u, weight)
+        leave_one_out(mix(space, G, u, every.difference(left)), right, u, weight)
+
+    if deps:
+        for u, weight in legendre_nodes(len(deps) - 1):
+            leave_one_out(F, deps, u, weight)
     terms = []
-    for r in range(1, n + 1):
-        w = 1.0 / (comb(n, r) * r)
-        for B in combinations(range(n), r):
-            key = frozenset(B)
-            term = space.constant(0.0)
-            for b in B:
-                term = term + (cond[key] - cond[key - {b}])
-            terms.append(term * w)
-        cond = {B: G for B, G in cond.items() if len(B) >= r}
-    return _report(space, F, tuple(range(n)), terms, _gram(space, terms))
+    for b in range(space.n):
+        if b not in integrals:
+            terms.append(space.constant(0.0))
+            continue
+        R = integrals.pop(b)
+        v, shape = _average(space, R, [b])
+        R -= v.reshape(shape)
+        terms.append(Functional(space, R, F.deps))
+    return _report(space, F, tuple(range(space.n)), terms, _gram(space, terms))
 
 
 def symmetric_coordinate_term(space: ProductSpace, F: Functional, b: int) -> Functional:

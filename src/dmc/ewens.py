@@ -189,11 +189,6 @@ def feller_map(i: tuple) -> tuple:
     return tuple(sigma)
 
 
-def sample_feller(model: EwensModel, rng: np.random.Generator) -> tuple:
-    """Same law as `sample`, through the insertion coupling."""
-    return feller_map(tuple(int(v) for v in sample_indices(model, rng, 1)[0]))
-
-
 # -- fixed-point analytics on the index space --------------------------------
 
 

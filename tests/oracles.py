@@ -1,9 +1,10 @@
 """Slow reference routes for the fast routes of the library.
 
-`resolvent`, `invert_number_operator` and `symmetric_coordinate_term` are
-integrals of the mixing operator M_u, and `anova` and `clark_symmetric` are
-trees of single-coordinate averages; the subset oracles here compute the
-same quantities independently, by summing over the 2^n coordinate subsets.
+`resolvent`, `invert_number_operator`, `symmetric_coordinate_term` and the
+terms of `clark_symmetric` are integrals of the mixing operator M_u, and
+`anova` is a tree of single-coordinate averages; the subset oracles here
+compute the same quantities independently, by summing over the 2^n
+coordinate subsets.
 They are exact but exponential in n, so the tests call them at n <= 8 only.
 
 `jump_kernel_matrix` is the dense m x m one-jump kernel behind the operator
@@ -49,6 +50,16 @@ replaced, each holding a table per coordinate or per term:
 term as a full-grid row, `in_order_residual` adds the Clark terms in report
 order, and `column_loop_walk_form` adds the Monte-Carlo walk form one step
 column at a time.
+
+`drop_tree_clark_symmetric` is the symmetric Clark report over the 2^n - 1
+subset terms, every E[F | X_B] taken from one drop tree, with the dense
+subset Gram: the route that the per-coordinate report replaced.
+`functional_node_anova` is the ANOVA node split with every node wrapped in a
+`Functional` and kept when its sup norm is positive, the route that the
+split on bare arrays replaced.  `new_table_residual` adds the report terms
+smallest first as new tables, and `squared_difference_variance` squares
+F - E[F] into a second table: the routes that `_report` and `variance`
+replaced by arithmetic in place.
 """
 
 from itertools import combinations
@@ -57,8 +68,8 @@ from math import comb, factorial, sqrt
 import numpy as np
 from scipy.stats import poisson
 
-from dmc.calculus import anova, gradient_component
-from dmc.decompose import _gram
+from dmc.calculus import AnovaDecomposition, anova, gradient_component
+from dmc.decompose import _gram, _report
 from dmc.limits import (
     FormReport,
     _truncation_order,
@@ -517,3 +528,60 @@ def column_loop_walk_form(F, scheme, rng, trials, inner=64):
         se=float(per_trial.std(ddof=1) / sqrt(trials)),
         exact=False,
     )
+
+
+def drop_tree_clark_symmetric(space, F):
+    """Order-free form: sum over subsets B of C(n,|B|)^{-1} |B|^{-1} sum_b D_b E[F|X_B].
+
+    Every E[F|X_B] comes from one drop tree, E[F|X_{B-a}] = E_a E[F|X_B], and
+    D_b E[F|X_B] = E[F|X_B] - E[F|X_{B-b}] for b in B, so the size-r terms
+    need only the size-r and size-(r-1) conditionals; smaller ones are freed.
+
+    The per-subset terms reconstruct F - E[F] exactly but are not mutually
+    orthogonal (components of different subsets overlap), so the Gram matrix
+    of this report is informational only.
+    """
+    n = space.n
+    cond = {frozenset(range(n)): F}
+    for a in range(n):
+        for B, G in list(cond.items()):
+            cond[B - {a}] = conditional_drop(space, G, a)
+    terms = []
+    for r in range(1, n + 1):
+        w = 1.0 / (comb(n, r) * r)
+        for B in combinations(range(n), r):
+            key = frozenset(B)
+            term = space.constant(0.0)
+            for b in B:
+                term = term + (cond[key] - cond[key - {b}])
+            terms.append(term * w)
+        cond = {B: G for B, G in cond.items() if len(B) >= r}
+    return _report(space, F, tuple(range(n)), terms, _gram(space, terms))
+
+
+def functional_node_anova(space, F):
+    """Hoeffding decomposition by the node split, each node a `Functional`."""
+    components = {frozenset(): F}
+    for a in sorted(F.deps):
+        split = {}
+        for S, G in components.items():
+            averaged = conditional_drop(space, G, a)
+            kept = G - averaged
+            if not S or averaged.sup_norm() > 0.0:
+                split[S] = averaged
+            if kept.sup_norm() > 0.0:
+                split[S | {a}] = kept
+        components = split
+    return AnovaDecomposition(space, components)
+
+
+def new_table_residual(space, F, terms):
+    """sup |E[F] + sum(terms) - F|, smallest term first, a new table per step."""
+    by_size = sorted(terms, key=lambda T: T.data.size)
+    return (sum(by_size, space.constant(expectation(space, F))) - F).sup_norm()
+
+
+def squared_difference_variance(space, F):
+    """E[(F - E F)^2] from the table (F - E F) ** 2."""
+    m = expectation(space, F)
+    return expectation(space, Functional(space, (F.data - m) ** 2, F.deps))

@@ -1,6 +1,8 @@
 """Single-average routes against the slow routes in `oracles`.
 
-`anova` and `clark_symmetric` build everything from one-coordinate averages,
+`anova` and `clark_symmetric` build everything from one-coordinate averages
+(`clark_symmetric` one term per coordinate, checked against the subset sum of
+that coordinate's share),
 `check_stationarity` pushes the law through one jump without the m x m
 kernel, and `simulate_terminal` finds each path's last jumps without a loop.
 """
@@ -15,10 +17,11 @@ from dmc.randomized import random_space
 from dmc.semigroup import check_stationarity, simulate_terminal
 from dmc.space import build_space, expectation, rademacher_coordinate, rademacher_space
 from .oracles import (
+    functional_node_anova,
     kernel_stationarity,
     loop_simulate_terminal,
     mobius_anova,
-    subset_clark_symmetric_terms,
+    subset_symmetric_term,
 )
 from .test_quadrature_routes import _mixed_space
 
@@ -57,6 +60,7 @@ def _check_anova(sp, F):
     got = anova(sp, F).components
     want = mobius_anova(sp, F)
     assert frozenset() in got
+    _same_nodes(got, functional_node_anova(sp, F).components)
     zero = np.zeros(sp.shape)
     for S in set(got) | set(want):
         new = got[S].values if S in got else zero
@@ -64,9 +68,18 @@ def _check_anova(sp, F):
         assert np.max(np.abs(new - old)) <= REL * F.scale()
 
 
+def _same_nodes(got, want):
+    """The same keys, in the same order, with bitwise equal tables and deps."""
+    assert list(got) == list(want)
+    for S, G in got.items():
+        assert G.deps == S == want[S].deps
+        assert G.data.shape == want[S].data.shape
+        assert G.data.tobytes() == want[S].data.tobytes()
+
+
 def _check_clark_symmetric(sp, F):
     rep = clark_symmetric(sp, F)
-    terms = subset_clark_symmetric_terms(sp, F)
+    terms = [subset_symmetric_term(sp, F, b) for b in range(sp.n)]
     assert len(rep.terms) == len(terms)
     scale = F.scale()
     for new, old in zip(rep.terms, terms):
@@ -111,6 +124,35 @@ def test_routes_match_oracles_on_generated_spaces(sizes, seed):
         _check_anova(sp, F)
         _check_clark_symmetric(sp, F)
     assert abs(check_stationarity(sp) - kernel_stationarity(sp)) <= 1e-15
+
+
+@given(
+    sizes=st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=6),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=30, deadline=None)
+def test_anova_matches_the_functional_node_split(sizes, seed):
+    rng = np.random.default_rng(seed)
+    sp = _mixed_space(sizes, rng)
+    fair = rademacher_space(len(sizes))
+    # integer tables on fair coordinates average exactly, so many nodes are exactly 0
+    rounded = fair.from_table(rng.integers(-1, 2, size=fair.config_count).astype(float))
+    _same_nodes(anova(fair, rounded).components, functional_node_anova(fair, rounded).components)
+    for F in (*_functionals(sp, rng), sp.from_table(np.round(rng.normal(size=sp.config_count)))):
+        _same_nodes(anova(sp, F).components, functional_node_anova(sp, F).components)
+
+
+def test_anova_keeps_a_node_holding_nan():
+    sp = rademacher_space(3)
+    table = np.zeros(sp.shape)
+    table[1, 0, 1] = np.nan
+    dec = anova(sp, sp.from_table(table))
+    # every node of the split holds the NaN, and none is hidden as the constant 0
+    assert len(dec.components) == 2**sp.n
+    assert all(np.isnan(G.data).any() for G in dec.components.values())
+    assert np.isnan(dec.reconstruct().values).all()
+    # the sup-norm test of the replaced split read NaN > 0 as false and dropped them
+    assert set(functional_node_anova(sp, sp.from_table(table)).components) == {frozenset()}
 
 
 def test_anova_keeps_the_empty_component():
