@@ -28,7 +28,14 @@ from .errors import (
     DegenerateVariance,
     TooFewSamples,
 )
-from .space import Coordinate, Functional, ProductSpace, conditional_drop, expectation
+from .space import (
+    Coordinate,
+    Functional,
+    ProductSpace,
+    _average,
+    conditional_drop,
+    expectation,
+)
 from .calculus import gradient_component, invert_number_operator
 
 MIN_SAMPLES = 1000
@@ -102,19 +109,33 @@ def resample_integral(space: ProductSpace, F: Functional, a: int) -> Functional:
 
 
 def _stein_terms(space: ProductSpace, F: Functional):
-    """D_aF, -D_a L^-1 F, carre = sum_a of their products, and T2, from one L^-1."""
-    neg_inverse = invert_number_operator(space, F) * (-1.0)
+    """D_aF, -D_a L^-1 F, carre = sum_a of their products, and T2, from one L^-1.
+
+    The loop runs on bare arrays, all of F's compact shape; only the returned
+    gradients are wrapped as Functionals.
+    """
+    neg_inverse = (invert_number_operator(space, F) * (-1.0)).data
     grads, inv_grads = {}, {}
-    carre, remainder = space.constant(0.0), space.constant(0.0)
+    carre = remainder = space.constant(0.0).data
     for a in sorted(F.deps):
-        grads[a] = gradient_component(space, F, a)
-        inv_grads[a] = gradient_component(space, neg_inverse, a)
-        carre = carre + grads[a] * inv_grads[a]
+        grad = F.data - _drop(space, F.data, a)
+        inv_grad = neg_inverse - _drop(space, neg_inverse, a)
+        grads[a] = Functional(space, grad, F.deps)
+        inv_grads[a] = Functional(space, inv_grad, F.deps)
+        carre = carre + grad * inv_grad
         # resample_integral(space, F, a), from the D_aF in hand
-        square = grads[a] * grads[a]
-        resampled = square + conditional_drop(space, square, a)
-        remainder = remainder + resampled * inv_grads[a].apply(np.abs)
-    return grads, inv_grads, carre, expectation(space, remainder)
+        square = grad * grad
+        square += _drop(space, square, a)
+        square *= np.abs(inv_grad)
+        remainder = remainder + square
+    carre = Functional(space, carre, F.deps)
+    return grads, inv_grads, carre, expectation(space, Functional(space, remainder, F.deps))
+
+
+def _drop(space: ProductSpace, data: np.ndarray, a: int) -> np.ndarray:
+    """E_a of a bare compact array, at its compact shape."""
+    v, shape = _average(space, data, [a])
+    return v.reshape(shape)
 
 
 # -- Gaussian target ---------------------------------------------------------

@@ -68,7 +68,12 @@ from math import comb, factorial, sqrt
 import numpy as np
 from scipy.stats import poisson
 
-from dmc.calculus import AnovaDecomposition, anova, gradient_component
+from dmc.calculus import (
+    AnovaDecomposition,
+    anova,
+    gradient_component,
+    invert_number_operator,
+)
 from dmc.decompose import _gram, _report
 from dmc.limits import (
     FormReport,
@@ -585,3 +590,18 @@ def squared_difference_variance(space, F):
     """E[(F - E F)^2] from the table (F - E F) ** 2."""
     m = expectation(space, F)
     return expectation(space, Functional(space, (F.data - m) ** 2, F.deps))
+
+
+def functional_stein_terms(space, F):
+    """`stein._stein_terms` with every gradient, product and sum a `Functional`."""
+    neg_inverse = invert_number_operator(space, F) * (-1.0)
+    grads, inv_grads = {}, {}
+    carre, remainder = space.constant(0.0), space.constant(0.0)
+    for a in sorted(F.deps):
+        grads[a] = gradient_component(space, F, a)
+        inv_grads[a] = gradient_component(space, neg_inverse, a)
+        carre = carre + grads[a] * inv_grads[a]
+        square = grads[a] * grads[a]
+        resampled = square + conditional_drop(space, square, a)
+        remainder = remainder + resampled * inv_grads[a].apply(np.abs)
+    return grads, inv_grads, carre, expectation(space, remainder)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dmc.errors import BadKernel, BadParameters, DegenerateVariance, TooFewSamples
 from dmc.space import Coordinate, expectation, iid_space, rademacher_space
 from dmc.stein import (
+    _stein_terms,
     CenteredGammaTarget,
     GaussianTarget,
     KernelMatrix,
@@ -25,7 +26,8 @@ from dmc.stein import (
     smooth_test_family,
 )
 
-from .oracles import weight_table
+from .oracles import functional_stein_terms, weight_table
+from .test_full_grid_operators import KINDS, _functionals, _same, _space, _with_single_outcomes
 
 TOL = 1e-12
 
@@ -336,3 +338,19 @@ class TestEmpiricalDistance:
         samples = signs.sum(axis=1) / sqrt(n)
         rep = empirical_distance(samples, GaussianTarget(), rng=rng, replicates=50)
         assert rep.smooth_lower <= 2.0 / sqrt(n) + 3.0 * rep.smooth_lower_se
+
+
+@pytest.mark.parametrize("kind", KINDS + ["single-outcome"])
+def test_stein_terms_on_bare_arrays_are_bit_identical(kind):
+    """The array loop against the Functional loop it replaced, on compact inputs too."""
+    sp = _with_single_outcomes() if kind == "single-outcome" else _space(kind)
+    for F in (*_functionals(sp, np.random.default_rng(7)), sp.constant(2.5)):
+        F = F - expectation(sp, F)
+        grads, inv_grads, carre, t2 = _stein_terms(sp, F)
+        want_grads, want_inv_grads, want_carre, want_t2 = functional_stein_terms(sp, F)
+        assert sorted(grads) == sorted(want_grads) == sorted(inv_grads) == sorted(F.deps)
+        for a in grads:
+            _same(grads[a], want_grads[a])
+            _same(inv_grads[a], want_inv_grads[a])
+        _same(carre, want_carre)
+        assert t2 == want_t2
