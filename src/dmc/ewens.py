@@ -216,10 +216,18 @@ def fixed_point_field(model: EwensModel) -> list:
 
 
 def fixed_point_count(model: EwensModel) -> Functional:
-    out = model.space.constant(0.0)
-    for U in fixed_point_field(model):
-        out = out + U
-    return out
+    """C_1 = sum_k U~_k, as the suffix sums S_k = U~_k + S_{k+1}.
+
+    U~_k depends on positions k..N, so S_{k+1} broadcasts into the fresh
+    U~_k table and is added there in place.  The terms are 0/1, so every
+    order of addition gives the same exact counts.
+    """
+    total = fixed_point_functional(model, model.N)
+    for k in range(model.N - 1, 0, -1):
+        U = fixed_point_functional(model, k)
+        U.data += total.data
+        total = U
+    return total
 
 
 def u_k_blocks(model: EwensModel, k: int, printed: bool = False):

@@ -20,7 +20,6 @@ from math import sqrt
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import BadDensity, BadParameters, TruncationFailure
 
@@ -65,6 +64,8 @@ class PartitionScheme:
 
 def poisson_scheme(density: Callable, N: int) -> PartitionScheme:
     """Quantile partition of [0, 1] into N cells of mass 1/N each."""
+    from scipy.integrate import cumulative_trapezoid
+
     if N < 1:
         raise BadParameters(f"need N >= 1, got {N}")
     grid = np.linspace(0.0, 1.0, DENSITY_GRID + 1)
@@ -271,6 +272,8 @@ def poisson_form(
 
 def _process_sampler(density: Callable) -> Callable:
     """Draw function of the unit-mass Poisson process, its CDF tabulated once."""
+    from scipy.integrate import cumulative_trapezoid
+
     grid = np.linspace(0.0, 1.0, DENSITY_GRID + 1)
     d = np.maximum(np.asarray(density(grid), dtype=float), 0.0)
     cdf = np.concatenate([[0.0], cumulative_trapezoid(d, grid)])
@@ -374,6 +377,8 @@ def endpoint_functional() -> WalkFunctional:
 
 
 def _tail_integral(g: Callable, grid: np.ndarray) -> np.ndarray:
+    from scipy.integrate import cumulative_trapezoid
+
     vals = np.asarray(g(grid), dtype=float)
     cum = np.concatenate([[0.0], cumulative_trapezoid(vals, grid)])
     return cum[-1] - cum

@@ -25,7 +25,6 @@ from math import prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import yaml
 
 from .errors import (
     BadInput,
@@ -424,6 +423,8 @@ def space_from_file(path) -> ProductSpace:
               - {label: "-1", p: 0.5, value: -1.0}
               - {label: "+1", p: 0.5, value: 1.0}
     """
+    import yaml
+
     with open(path) as f:
         doc = yaml.safe_load(f)
     coords = []

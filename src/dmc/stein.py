@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
 
 from .errors import (
     BadKernel,
@@ -50,6 +47,8 @@ class GaussianTarget:
     """Standard Gaussian on the real line."""
 
     def cdf(self, x):
+        from scipy.stats import norm
+
         return norm.cdf(x)
 
     def smooth_mean(self, fn) -> float:
@@ -73,9 +72,13 @@ class CenteredGammaTarget:
             raise BadParameters(f"need r, lam > 0, got r={self.r}, lam={self.lam}")
 
     def cdf(self, x):
+        from scipy.stats import gamma as gamma_dist
+
         return gamma_dist.cdf(np.asarray(x) + self.r / self.lam, a=self.r, scale=1.0 / self.lam)
 
     def smooth_mean(self, fn) -> float:
+        from scipy.special import gammaln, roots_genlaguerre
+
         # generalized Gauss-Laguerre with weight u^{r-1} e^{-u}
         nodes, weights = roots_genlaguerre(96, self.r - 1.0)
         vals = fn(nodes / self.lam - self.r / self.lam)
@@ -108,28 +111,32 @@ def resample_integral(space: ProductSpace, F: Functional, a: int) -> Functional:
     return square + conditional_drop(space, square, a)
 
 
-def _stein_terms(space: ProductSpace, F: Functional):
-    """D_aF, -D_a L^-1 F, carre = sum_a of their products, and T2, from one L^-1.
+def _stein_terms(space: ProductSpace, F: Functional, kept: dict | None = None):
+    """carre = sum_a D_aF (-D_a L^-1 F) and T2, from one L^-1, coordinate by coordinate.
 
-    The loop runs on bare arrays, all of F's compact shape; only the returned
-    gradients are wrapped as Functionals.
+    The loop runs on bare arrays, all of F's compact shape, and adds each
+    coordinate's share into carre and the T2 integrand in place.  A
+    coordinate's two gradients are freed before the next, unless `kept` is a
+    dict: then kept[a] = (D_aF, -D_a L^-1 F) as Functionals.
     """
-    neg_inverse = (invert_number_operator(space, F) * (-1.0)).data
-    grads, inv_grads = {}, {}
-    carre = remainder = space.constant(0.0).data
+    neg_inverse = invert_number_operator(space, F).data
+    neg_inverse *= -1.0
+    carre = np.zeros(F.data.shape)
+    remainder = np.zeros(F.data.shape)
     for a in sorted(F.deps):
         grad = F.data - _drop(space, F.data, a)
         inv_grad = neg_inverse - _drop(space, neg_inverse, a)
-        grads[a] = Functional(space, grad, F.deps)
-        inv_grads[a] = Functional(space, inv_grad, F.deps)
-        carre = carre + grad * inv_grad
+        if kept is not None:
+            kept[a] = Functional(space, grad, F.deps), Functional(space, inv_grad, F.deps)
+        carre += grad * inv_grad
         # resample_integral(space, F, a), from the D_aF in hand
         square = grad * grad
         square += _drop(space, square, a)
         square *= np.abs(inv_grad)
-        remainder = remainder + square
-    carre = Functional(space, carre, F.deps)
-    return grads, inv_grads, carre, expectation(space, Functional(space, remainder, F.deps))
+        remainder += square
+        del grad, inv_grad, square  # before the next coordinate's tables exist
+    t2 = expectation(space, Functional(space, remainder, F.deps))
+    return Functional(space, carre, F.deps), t2
 
 
 def _drop(space: ProductSpace, data: np.ndarray, a: int) -> np.ndarray:
@@ -147,7 +154,7 @@ def gaussian_bound(space: ProductSpace, F: Functional) -> SteinReport:
     T1 = E|1 - sum_a D_aF (-D_a L^-1 F)|
     T2 = sum_a E[int (F - F(X_{A-a}; x))^2 dP_a(x) |D_a L^-1 F|]
     """
-    _, _, carre, t2 = _stein_terms(space, F)
+    carre, t2 = _stein_terms(space, F)
     t1 = expectation(space, (space.constant(1.0) - carre).apply(np.abs))
     return SteinReport(
         target="gaussian", t1=t1, t2=t2, total=t1 + t2,
@@ -166,15 +173,16 @@ def gaussian_bound_resampled(
     """
     if family is None:
         family = smooth_test_family()
-    grads, inv_grads, _, t2 = _stein_terms(space, F)
+    gradients = {}
+    _, t2 = _stein_terms(space, F, gradients)
     best = 0.0
     for fn in family:
         tested = F.apply(fn)
         val = expectation(space, tested)
-        for a in grads:
+        for a, (grad, inv_grad) in gradients.items():
             # E over an independent copy of coordinate a
             psi = conditional_drop(space, tested, a)
-            val -= expectation(space, psi * grads[a] * inv_grads[a])
+            val -= expectation(space, psi * grad * inv_grad)
         best = max(best, abs(val))
     return SteinReport(
         target="gaussian", t1=best, t2=t2, total=best + t2,
@@ -276,7 +284,7 @@ def gamma_bound(space: ProductSpace, F: Functional, r: float, lam: float) -> Ste
     """
     if not (r > 0 and lam > 0):
         raise BadParameters(f"need r, lam > 0, got r={r}, lam={lam}")
-    _, _, carre, b2 = _stein_terms(space, F)
+    carre, b2 = _stein_terms(space, F)
     inside = F * (1.0 / lam) + space.constant(r / lam**2) - carre
     b1 = expectation(space, inside.apply(np.abs))
     c1 = 2.0 * lam * max(1.0, 1.0 / r)

@@ -60,6 +60,12 @@ split on bare arrays replaced.  `new_table_residual` adds the report terms
 smallest first as new tables, and `squared_difference_variance` squares
 F - E[F] into a second table: the routes that `_report` and `variance`
 replaced by arithmetic in place.
+
+`functional_stein_terms` is the Stein loop with every gradient, product and
+sum a `Functional` and all 2n gradients held to the end, the route that
+`stein._stein_terms` replaced by adding each coordinate's share in place.
+`summed_fixed_point_count` adds the list of the U~_k into a new table per
+partial sum, the route that the suffix sums of `fixed_point_count` replaced.
 """
 
 from itertools import combinations
@@ -75,6 +81,7 @@ from dmc.calculus import (
     invert_number_operator,
 )
 from dmc.decompose import _gram, _report
+from dmc.ewens import fixed_point_field
 from dmc.limits import (
     FormReport,
     _truncation_order,
@@ -363,17 +370,18 @@ def prefix_covariance_identity(space, F, G, order):
 
 def take_loop_resampled_first_term(space, F, family):
     """First term of `gaussian_bound_resampled`, psi summed outcome by outcome."""
-    grads, inv_grads, _, _ = _stein_terms(space, F)
+    gradients = {}
+    _stein_terms(space, F, gradients)
     best = 0.0
     for fn in family:
         val = expectation(space, F.apply(fn))
-        for a in grads:
+        for a, (grad, inv_grad) in gradients.items():
             pmf = space.coords[a].pmf
             mixed = 0.0
             for o in range(space.shape[a]):
                 mixed = mixed + pmf[o] * fn(np.take(F.data, [o], axis=a))
             psi = Functional(space, mixed, deps=F.deps - {a})
-            val -= expectation(space, psi * grads[a] * inv_grads[a])
+            val -= expectation(space, psi * grad * inv_grad)
         best = max(best, abs(val))
     return best
 
@@ -593,7 +601,7 @@ def squared_difference_variance(space, F):
 
 
 def functional_stein_terms(space, F):
-    """`stein._stein_terms` with every gradient, product and sum a `Functional`."""
+    """D_aF, -D_a L^-1 F, carre and T2 with every gradient, product and sum a `Functional`."""
     neg_inverse = invert_number_operator(space, F) * (-1.0)
     grads, inv_grads = {}, {}
     carre, remainder = space.constant(0.0), space.constant(0.0)
@@ -605,3 +613,11 @@ def functional_stein_terms(space, F):
         resampled = square + conditional_drop(space, square, a)
         remainder = remainder + resampled * inv_grads[a].apply(np.abs)
     return grads, inv_grads, carre, expectation(space, remainder)
+
+
+def summed_fixed_point_count(model):
+    """C_1 as a new table for every partial sum of the list of U~_k."""
+    out = model.space.constant(0.0)
+    for U in fixed_point_field(model):
+        out = out + U
+    return out

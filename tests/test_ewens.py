@@ -26,7 +26,8 @@ from dmc.ewens import (
 )
 from dmc.space import expectation, variance
 
-from .oracles import weight_table
+from .oracles import summed_fixed_point_count, weight_table
+from .test_full_grid_operators import _peak_in_tables, _same
 
 TOL = 1e-12
 
@@ -236,3 +237,17 @@ class TestVariance:
         counts = mc_fixed_point_counts(m, rng, 30_000)
         exact_mean = expectation(m.space, fixed_point_count(m))
         assert abs(counts.mean() - exact_mean) <= 0.03
+
+
+@pytest.mark.parametrize("t", [0.4, 1.0, 3.5])
+@pytest.mark.parametrize("N", range(3, 11))
+def test_fixed_point_count_suffix_sums_are_bit_identical(N, t):
+    model = EwensModel(N, t)
+    _same(fixed_point_count(model), summed_fixed_point_count(model))
+
+
+def test_fixed_point_count_holds_about_two_tables():
+    # N = 9, in full index-grid tables: 2.16 here, 4.75 for the summed list
+    model = EwensModel(9, 1.7)
+    C1 = fixed_point_count(model)
+    assert _peak_in_tables(lambda: fixed_point_count(model), C1) <= 2.2

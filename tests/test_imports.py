@@ -1,14 +1,24 @@
-"""Every module-level import in `src/dmc` is read by its module, and every
-module-level definition is named somewhere.
+"""Every module-level import in `src/dmc` is read by its module, every
+module-level definition is named somewhere, and `import dmc.cli` loads
+neither scipy nor yaml.
 
 No linter ships with the project, so this parses each module with `ast`.
 `from __future__` imports and the re-exports of `__init__.py` are exempt.
 A function, class or constant of `src/dmc` must be named (read, imported or
 reached as an attribute) somewhere under `src/`, `tests/`, `scripts/` or
 `perfbench/`; dunder names are exempt.
+
+scipy and yaml are imported inside the functions that use them, so a fresh
+interpreter that imports `dmc.cli` and runs a subcommand that needs neither
+(`clark`) has loaded neither.  `limits-poisson` loads scipy and
+`space_from_file` loads yaml, both when called.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +92,46 @@ def test_every_definition_is_named():
         if name not in named and not name.startswith("__")
     ]
     assert not unnamed, f"defined but never named: {', '.join(unnamed)}"
+
+
+CHILD = """
+import json, sys
+from pathlib import Path
+
+tmp = Path(sys.argv[1])
+loaded = lambda: sorted(m for m in ("scipy", "yaml") if m in sys.modules)
+import dmc.cli
+
+seen = {"import": loaded()}
+seen["clark_rc"] = dmc.cli.main(["clark", "--trials", "2", "--out", str(tmp / "clark.json")])
+seen["clark"] = loaded()
+seen["poisson_rc"] = dmc.cli.main(
+    ["limits-poisson", "--grid", "4,8", "--trials", "20", "--out", str(tmp / "poisson.csv")]
+)
+seen["poisson"] = loaded()
+(tmp / "space.yaml").write_text(
+    "coords:\\n  - id: x1\\n    outcomes:\\n"
+    "      - {label: a, p: 0.25, value: 0.0}\\n      - {label: b, p: 0.75, value: 2.0}\\n"
+)
+from dmc.space import space_from_file
+
+seen["space_shape"] = list(space_from_file(tmp / "space.yaml").shape)
+seen["space"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_loads_neither_scipy_nor_yaml(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == []
+    assert (seen["clark_rc"], seen["clark"]) == (0, [])
+    assert (seen["poisson_rc"], seen["poisson"]) == (0, ["scipy"])
+    assert len((tmp_path / "poisson.csv").read_text().splitlines()) == 3
+    assert (seen["space_shape"], seen["space"]) == ([2], ["scipy", "yaml"])

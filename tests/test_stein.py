@@ -27,7 +27,14 @@ from dmc.stein import (
 )
 
 from .oracles import functional_stein_terms, weight_table
-from .test_full_grid_operators import KINDS, _functionals, _same, _space, _with_single_outcomes
+from .test_full_grid_operators import (
+    KINDS,
+    _functionals,
+    _peak_in_tables,
+    _same,
+    _space,
+    _with_single_outcomes,
+)
 
 TOL = 1e-12
 
@@ -346,11 +353,52 @@ def test_stein_terms_on_bare_arrays_are_bit_identical(kind):
     sp = _with_single_outcomes() if kind == "single-outcome" else _space(kind)
     for F in (*_functionals(sp, np.random.default_rng(7)), sp.constant(2.5)):
         F = F - expectation(sp, F)
-        grads, inv_grads, carre, t2 = _stein_terms(sp, F)
+        gradients = {}
+        carre, t2 = _stein_terms(sp, F, gradients)
         want_grads, want_inv_grads, want_carre, want_t2 = functional_stein_terms(sp, F)
-        assert sorted(grads) == sorted(want_grads) == sorted(inv_grads) == sorted(F.deps)
-        for a in grads:
-            _same(grads[a], want_grads[a])
-            _same(inv_grads[a], want_inv_grads[a])
+        assert list(gradients) == sorted(want_grads) == sorted(want_inv_grads) == sorted(F.deps)
+        for a, (grad, inv_grad) in gradients.items():
+            _same(grad, want_grads[a])
+            _same(inv_grad, want_inv_grads[a])
         _same(carre, want_carre)
         assert t2 == want_t2
+        # the streaming call, which keeps no gradient, gives the same sums
+        streamed_carre, streamed_t2 = _stein_terms(sp, F)
+        _same(streamed_carre, want_carre)
+        assert streamed_t2 == want_t2
+
+
+@pytest.mark.parametrize("kind", KINDS + ["single-outcome"])
+def test_stein_reports_match_the_functional_loop(kind):
+    """Every report term, bit for bit, from the carre and T2 of the Functional loop."""
+    sp = _with_single_outcomes() if kind == "single-outcome" else _space(kind)
+    r, lam = 1.5, 0.7
+    family = smooth_test_family()[::9]
+    for F in (*_functionals(sp, np.random.default_rng(11)), sp.constant(-1.0)):
+        F = F - expectation(sp, F)
+        _, _, carre, t2 = functional_stein_terms(sp, F)
+        t1 = expectation(sp, (sp.constant(1.0) - carre).apply(np.abs))
+        got = gaussian_bound(sp, F)
+        assert (got.t1, got.t2, got.total) == (t1, t2, t1 + t2)
+        b1 = expectation(sp, (F * (1.0 / lam) + sp.constant(r / lam**2) - carre).apply(np.abs))
+        got = gamma_bound(sp, F, r, lam)
+        c1, c2 = got.constants["c1"], got.constants["c2"]
+        assert (got.t1, got.t2, got.total) == (b1, t2, c1 * b1 + c2 * t2)
+        assert gaussian_bound_resampled(sp, F, family).t2 == t2
+
+
+# tracemalloc peaks on a centred full fair n = 16 table, in tables; with all
+# 2n gradients held until the sums (the Functional loop) both read 37.03
+STEIN_PEAK_TABLES = {
+    "gaussian_bound": lambda sp, F: gaussian_bound(sp, F),
+    "gamma_bound": lambda sp, F: gamma_bound(sp, F, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEIN_PEAK_TABLES))
+def test_stein_bounds_hold_a_few_tables(name):
+    sp = rademacher_space(16)
+    F = sp.from_table(np.random.default_rng(0).normal(size=sp.config_count))
+    F = F - expectation(sp, F)
+    bound = STEIN_PEAK_TABLES[name]
+    assert _peak_in_tables(lambda: bound(sp, F), F) <= 7.1
