@@ -86,7 +86,7 @@ def number_operator(space: ProductSpace, F: Functional) -> Functional:
         return space.constant(0.0)
     out = F.data * -float(len(deps))
     for a in deps:
-        out += conditional_drop(space, F, a).data
+        out += _average(space, F.data, [a])
     return Functional(space, out, F.deps)
 
 
@@ -135,8 +135,7 @@ def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
     for a in deps:
         split = {}
         for S, G in nodes.items():
-            v, shape = _average(space, G, [a])
-            averaged = v.reshape(shape)
+            averaged = _average(space, G, [a])
             kept = G - averaged
             if not S or averaged.any():
                 split[S] = averaged
@@ -159,8 +158,8 @@ def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
         return F
     out, owned = F.data, False
     for a in axes:
-        averaged, shape = _average(space, out, [a])
-        if out.shape[a] == 1:  # E_a is the identity and returned `out` itself
+        averaged = _average(space, out, [a])
+        if out.shape[a] == 1:  # E_a is the identity and returned a view of `out`
             averaged = averaged * (1.0 - u)
         else:
             averaged *= 1.0 - u
@@ -168,7 +167,7 @@ def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
             out *= u
         else:
             out, owned = out * u, True
-        out += averaged.reshape(shape)
+        out += averaged
         del averaged  # before the next average is allocated
     return Functional(space, out, F.deps)
 

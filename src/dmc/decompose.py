@@ -103,11 +103,10 @@ def _chain_gram(space: ProductSpace, increments, axes) -> np.ndarray:
     m = len(tables)
     gram = np.zeros((m, m))
     for i, G in enumerate(tables):
-        gram[i, i] = _average(space, G * G, every)[0].item()
+        gram[i, i] = _average(space, G * G, every).item()
         for j in range(i + 1, m):
-            v, shape = _average(space, G, [axes[j - 1]])
-            G = v.reshape(shape)
-            gram[i, j] = gram[j, i] = _average(space, G * tables[j], every)[0].item()
+            G = _average(space, G, [axes[j - 1]])
+            gram[i, j] = gram[j, i] = _average(space, G * tables[j], every).item()
     return gram
 
 
@@ -226,8 +225,7 @@ def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
             terms.append(space.constant(0.0))
             continue
         R = integrals.pop(b)
-        v, shape = _average(space, R, [b])
-        R -= v.reshape(shape)
+        R -= _average(space, R, [b])
         terms.append(Functional(space, R, F.deps))
     return _report(space, F, tuple(range(space.n)), terms, _gram(space, terms))
 
@@ -312,7 +310,7 @@ def poincare(space: ProductSpace, F: Functional) -> tuple[float, float]:
         return var, 0.0
     product = number_operator(space, F).data  # a fresh table of F's shape
     product *= F.data - expectation(space, F)
-    return var, -_average(space, product, range(space.n))[0].item()
+    return var, -_average(space, product, range(space.n)).item()
 
 
 # -- validators -------------------------------------------------------------

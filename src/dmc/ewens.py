@@ -21,7 +21,6 @@ from .space import (
     ProductSpace,
     build_space,
     expectation,
-    variance,
 )
 from .decompose import clark_reverse
 
@@ -203,12 +202,17 @@ def _indicator_ne(model: EwensModel, pos: int, value: int) -> Functional:
     return sp.indicator(lambda cfg, p=pos, v=value: cfg[p - 1] + 1 != v, deps={pos - 1})
 
 
-def fixed_point_functional(model: EwensModel, k: int) -> Functional:
-    """U~_k = 1(I_k = k) prod_{m>k} 1(I_m != k)."""
-    out = _indicator_eq(model, k, k)
-    for m in range(k + 1, model.N + 1):
+def _survival_term(model: EwensModel, pos: int, k: int, shift: float) -> Functional:
+    """(1(I_pos = k) - shift) prod_{m>pos} 1(I_m != k)."""
+    out = _indicator_eq(model, pos, k) - shift
+    for m in range(pos + 1, model.N + 1):
         out = out * _indicator_ne(model, m, k)
     return out
+
+
+def fixed_point_functional(model: EwensModel, k: int) -> Functional:
+    """U~_k = 1(I_k = k) prod_{m>k} 1(I_m != k)."""
+    return _survival_term(model, k, k, 0.0)
 
 
 def fixed_point_field(model: EwensModel) -> list:
@@ -251,17 +255,12 @@ def u_k_blocks(model: EwensModel, k: int, printed: bool = False):
     t, N = model.t, model.N
     alpha = model.alpha_printed(k) if printed else model.alpha(k)
     const = t * model.p(k) * alpha
-    main = _indicator_eq(model, k, k) - t * model.p(k)
-    for m in range(k + 1, N + 1):
-        main = main * _indicator_ne(model, m, k)
+    main = _survival_term(model, k, k, t * model.p(k))
     corrections = []
     stop = N - k - 1 if printed else N - k
     for j in range(1, stop + 1):
         coeff = -t / (t + k + j - 2)
-        block = _indicator_eq(model, k + j, k) - model.p(k + j)
-        for l in range(j + 1, N - k + 1):
-            block = block * _indicator_ne(model, k + l, k)
-        corrections.append(block * coeff)
+        corrections.append(_survival_term(model, k + j, k, model.p(k + j)) * coeff)
     return const, main, corrections
 
 
@@ -281,18 +280,12 @@ def c1_decomposition_value(model: EwensModel, printed: bool = False) -> Function
     t, N = model.t, model.N
     out = sp.constant(t * (1.0 - (t - 1.0) / (N + t - 1.0)))
     for l in range(1, N + 1):
-        term = _indicator_eq(model, l, l) - t / (t + l - 1)
-        for m in range(l + 1, N + 1):
-            term = term * _indicator_ne(model, m, l)
-        out = out + term
+        out = out + _survival_term(model, l, l, t / (t + l - 1))
     stop = N - 1 if printed else N
     for l in range(2, stop + 1):
         coeff = t / (t + l - 2)
         for k in range(1, l):
-            term = _indicator_eq(model, l, k) - 1.0 / (t + l - 1)
-            for m in range(l + 1, N + 1):
-                term = term * _indicator_ne(model, m, k)
-            out = out - term * coeff
+            out = out - _survival_term(model, l, k, 1.0 / (t + l - 1)) * coeff
     return out
 
 
@@ -321,9 +314,9 @@ def c1_stats(model: EwensModel, tol: float = 1e-9) -> C1Report:
     C1 = fixed_point_count(model)
     mean_enum = expectation(sp, C1)
     mean_formula = model.t * model.N / (model.t + model.N - 1)
-    var_enum = variance(sp, C1)
     rep = clark_reverse(sp, C1)
-    var_clark = sum(expectation(sp, T * T) for T in rep.terms)
+    var_enum = rep.variance_pair[0]
+    var_clark = sum(rep.gram.diagonal().tolist())
     var_paper = variance_printed(model)
     gap = abs(var_paper - var_enum)
     return C1Report(

@@ -60,7 +60,7 @@ def concentration(space: ProductSpace, F: Functional, order=None):
     for pos, k in enumerate(order, start=1):
         if k not in F.deps:
             continue
-        term = F.data - conditional_drop(space, F, k).data
+        term = F.data - _average(space, F.data, [k])
         np.abs(term, out=term)
         term *= conditional_prefix(space, Functional(space, term, F.deps), pos, order).data
         if total is None:
@@ -85,5 +85,5 @@ def exact_tail(space: ProductSpace, F: Functional, x) -> np.ndarray:
     centred = F.data - expectation(space, F)
     x = np.asarray(x, dtype=float)
     axes = range(space.n)
-    tails = [_average(space, (centred >= t).astype(float), axes)[0].item() for t in x.flat]
+    tails = [_average(space, (centred >= t).astype(float), axes).item() for t in x.flat]
     return np.reshape(tails, x.shape)

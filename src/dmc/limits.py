@@ -62,12 +62,14 @@ class PartitionScheme:
         return worst
 
 
-def poisson_scheme(density: Callable, N: int) -> PartitionScheme:
-    """Quantile partition of [0, 1] into N cells of mass 1/N each."""
+def _density_cdf(density: Callable) -> tuple:
+    """(grid, CDF) of a unit-mass density on [0, 1], tabulated on DENSITY_GRID cells.
+
+    The density may return a scalar; it must be finite and non-negative,
+    with trapezoidal mass 1 to within 1e-6, else BadDensity.
+    """
     from scipy.integrate import cumulative_trapezoid
 
-    if N < 1:
-        raise BadParameters(f"need N >= 1, got {N}")
     grid = np.linspace(0.0, 1.0, DENSITY_GRID + 1)
     d = np.asarray(density(grid), dtype=float)
     if d.shape != grid.shape:
@@ -80,7 +82,14 @@ def poisson_scheme(density: Callable, N: int) -> PartitionScheme:
         raise BadDensity("density has zero total mass")
     if abs(total - 1.0) > 1e-6:
         raise BadDensity(f"density mass {total} is not 1")
-    cdf = cdf / total
+    return grid, cdf / total
+
+
+def poisson_scheme(density: Callable, N: int) -> PartitionScheme:
+    """Quantile partition of [0, 1] into N cells of mass 1/N each."""
+    if N < 1:
+        raise BadParameters(f"need N >= 1, got {N}")
+    grid, cdf = _density_cdf(density)
     levels = np.arange(0, N + 1) / N
     boundaries = np.interp(levels, cdf, grid)
     anchors = np.interp((np.arange(N) + 0.5) / N, cdf, grid)
@@ -272,12 +281,7 @@ def poisson_form(
 
 def _process_sampler(density: Callable) -> Callable:
     """Draw function of the unit-mass Poisson process, its CDF tabulated once."""
-    from scipy.integrate import cumulative_trapezoid
-
-    grid = np.linspace(0.0, 1.0, DENSITY_GRID + 1)
-    d = np.maximum(np.asarray(density(grid), dtype=float), 0.0)
-    cdf = np.concatenate([[0.0], cumulative_trapezoid(d, grid)])
-    cdf /= cdf[-1]
+    grid, cdf = _density_cdf(density)
 
     def draw(rng: np.random.Generator) -> PointConfiguration:
         k = rng.poisson(1.0)

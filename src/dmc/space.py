@@ -264,15 +264,14 @@ def build_space(coords: Sequence[Coordinate], exact_ceiling: int = DEFAULT_EXACT
     return ProductSpace(coords, exact_ceiling=exact_ceiling)
 
 
-def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> tuple:
+def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> np.ndarray:
     """E_a for each a in the ascending `axes` of compact `data`.
 
-    Returns the averaged values, in row-major order, and their compact shape
-    (each averaged axis at length 1).  Length-1 axes cost nothing; a stored
-    axis of length k is one product with its pmf on the array viewed as
-    (pre, k, post): a gemv if pre or post is 1, else one einsum pass, which
-    holds no temporary and, unlike a batched matmul, makes no BLAS call per
-    leading index.
+    Returns the averaged array at its compact shape (each averaged axis at
+    length 1).  Length-1 axes cost nothing; a stored axis of length k is one
+    product with its pmf on the array viewed as (pre, k, post): a gemv if
+    pre or post is 1, else one einsum pass, which holds no temporary and,
+    unlike a batched matmul, makes no BLAS call per leading index.
     """
     coords, out, v = space.coords, list(data.shape), data
     for i, a in enumerate(axes):
@@ -288,11 +287,11 @@ def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> tupl
         else:
             v = np.einsum("j,ijk->ik", pmf, v.reshape(pre, k, -1))
         out[a] = 1
-    return v, out
+    return v.reshape(out)
 
 
 def expectation(space: ProductSpace, F: Functional) -> float:
-    return _average(space, F.data, range(space.n))[0].item()
+    return _average(space, F.data, range(space.n)).item()
 
 
 def expectation_mc(
@@ -313,7 +312,7 @@ def variance(space: ProductSpace, F: Functional) -> float:
     m = expectation(space, F)
     centred = F.data - m
     centred *= centred  # one full-grid temporary, where ** 2 holds two
-    return _average(space, centred, range(space.n))[0].item()
+    return _average(space, centred, range(space.n)).item()
 
 
 def integrate_out(space: ProductSpace, F: Functional, axes: Iterable[int]) -> Functional:
@@ -321,8 +320,7 @@ def integrate_out(space: ProductSpace, F: Functional, axes: Iterable[int]) -> Fu
     axes = sorted(set(axes))
     for a in axes:
         space.check_axis(a)
-    v, shape = _average(space, F.data, axes)
-    return Functional(space, v.reshape(shape), F.deps - set(axes))
+    return Functional(space, _average(space, F.data, axes), F.deps - set(axes))
 
 
 def conditional_drop(space: ProductSpace, F: Functional, a: int) -> Functional:

@@ -33,7 +33,7 @@ from .space import (
     conditional_drop,
     expectation,
 )
-from .calculus import gradient_component, invert_number_operator
+from .calculus import gradient_component, invert_number_operator, number_operator
 
 MIN_SAMPLES = 1000
 BOOTSTRAP_REPLICATES = 200
@@ -111,38 +111,29 @@ def resample_integral(space: ProductSpace, F: Functional, a: int) -> Functional:
     return square + conditional_drop(space, square, a)
 
 
-def _stein_terms(space: ProductSpace, F: Functional, kept: dict | None = None):
-    """carre = sum_a D_aF (-D_a L^-1 F) and T2, from one L^-1, coordinate by coordinate.
+def _stein_terms(space: ProductSpace, F: Functional):
+    """carre = sum_a D_aF (-D_a L^-1 F), T2 and -L^-1 F, from one L^-1, coordinate by coordinate.
 
     The loop runs on bare arrays, all of F's compact shape, and adds each
     coordinate's share into carre and the T2 integrand in place.  A
-    coordinate's two gradients are freed before the next, unless `kept` is a
-    dict: then kept[a] = (D_aF, -D_a L^-1 F) as Functionals.
+    coordinate's two gradients are freed before the next.
     """
     neg_inverse = invert_number_operator(space, F).data
     neg_inverse *= -1.0
     carre = np.zeros(F.data.shape)
     remainder = np.zeros(F.data.shape)
     for a in sorted(F.deps):
-        grad = F.data - _drop(space, F.data, a)
-        inv_grad = neg_inverse - _drop(space, neg_inverse, a)
-        if kept is not None:
-            kept[a] = Functional(space, grad, F.deps), Functional(space, inv_grad, F.deps)
+        grad = F.data - _average(space, F.data, [a])
+        inv_grad = neg_inverse - _average(space, neg_inverse, [a])
         carre += grad * inv_grad
         # resample_integral(space, F, a), from the D_aF in hand
         square = grad * grad
-        square += _drop(space, square, a)
+        square += _average(space, square, [a])
         square *= np.abs(inv_grad)
         remainder += square
         del grad, inv_grad, square  # before the next coordinate's tables exist
     t2 = expectation(space, Functional(space, remainder, F.deps))
-    return Functional(space, carre, F.deps), t2
-
-
-def _drop(space: ProductSpace, data: np.ndarray, a: int) -> np.ndarray:
-    """E_a of a bare compact array, at its compact shape."""
-    v, shape = _average(space, data, [a])
-    return v.reshape(shape)
+    return Functional(space, carre, F.deps), t2, Functional(space, neg_inverse, F.deps)
 
 
 # -- Gaussian target ---------------------------------------------------------
@@ -154,7 +145,7 @@ def gaussian_bound(space: ProductSpace, F: Functional) -> SteinReport:
     T1 = E|1 - sum_a D_aF (-D_a L^-1 F)|
     T2 = sum_a E[int (F - F(X_{A-a}; x))^2 dP_a(x) |D_a L^-1 F|]
     """
-    carre, t2 = _stein_terms(space, F)
+    carre, t2, _ = _stein_terms(space, F)
     t1 = expectation(space, (space.constant(1.0) - carre).apply(np.abs))
     return SteinReport(
         target="gaussian", t1=t1, t2=t2, total=t1 + t2,
@@ -170,20 +161,26 @@ def gaussian_bound_resampled(
     The supremum is approximated from below by a maximum over the fixed
     smooth test family, so the returned first term is a lower approximation
     of the displayed one; the second term is identical to `gaussian_bound`.
+
+    With G = -L^-1 F, the test phi(F) averaged over an independent copy of
+    coordinate a meets D_aF D_aG; E_a is self-adjoint, so the first term is
+    |E[phi(F) (1 - W)]| with W = sum_a E_a(D_aF D_aG).  W is the carre du
+    champ 2 Gamma(F, G) = L(FG) - F LG - G LF less carre, and LG = -(F - E F).
     """
     if family is None:
         family = smooth_test_family()
-    gradients = {}
-    _, t2 = _stein_terms(space, F, gradients)
+    carre, t2, G = _stein_terms(space, F)
+    # 1 - W = 1 + carre - L(FG) + G LF - F (F - E F), built in carre's table
+    weight = carre.data
+    weight -= number_operator(space, F * G).data
+    weight += G.data * number_operator(space, F).data
+    del G  # before the test loop's tables exist
+    weight -= F.data * (F.data - expectation(space, F))
+    weight += 1.0
+    weight = Functional(space, weight, F.deps)
     best = 0.0
     for fn in family:
-        tested = F.apply(fn)
-        val = expectation(space, tested)
-        for a, (grad, inv_grad) in gradients.items():
-            # E over an independent copy of coordinate a
-            psi = conditional_drop(space, tested, a)
-            val -= expectation(space, psi * grad * inv_grad)
-        best = max(best, abs(val))
+        best = max(best, abs(expectation(space, F.apply(fn) * weight)))
     return SteinReport(
         target="gaussian", t1=best, t2=t2, total=best + t2,
         note="first term: max over fixed smooth family, lower approximation "
@@ -284,7 +281,7 @@ def gamma_bound(space: ProductSpace, F: Functional, r: float, lam: float) -> Ste
     """
     if not (r > 0 and lam > 0):
         raise BadParameters(f"need r, lam > 0, got r={r}, lam={lam}")
-    carre, b2 = _stein_terms(space, F)
+    carre, b2, _ = _stein_terms(space, F)
     inside = F * (1.0 / lam) + space.constant(r / lam**2) - carre
     b1 = expectation(space, inside.apply(np.abs))
     c1 = 2.0 * lam * max(1.0, 1.0 / r)

@@ -32,8 +32,9 @@ report entry by entry.
 The remaining routes are private copies that the library replaced with its
 shared routines: the subset recursion for the degenerate Hoeffding kernels,
 the per-(B, b) gradients of the symmetric Clark groups, the prefix-conditional
-covariance identity, the per-outcome loop of the resampled Gaussian bound,
-the two-average log-Sobolev energy, the full-grid mask of `exact_tail`, and
+covariance identity, the per-coordinate and per-outcome loop of the
+resampled Gaussian bound (the library takes one carre-du-champ weight), the
+two-average log-Sobolev energy, the full-grid mask of `exact_tail`, and
 the Poisson form that evaluates F at a trial's configuration once per cell.
 
 `dense_counts_poisson_form` builds each perturbed configuration of the
@@ -99,7 +100,6 @@ from dmc.space import (
     resolve_order,
     variance,
 )
-from dmc.stein import _stein_terms
 from dmc.ustat import _require_iid, hoeffding_kernels
 
 _compact_from_evaluator = ProductSpace.from_evaluator
@@ -370,18 +370,17 @@ def prefix_covariance_identity(space, F, G, order):
 
 def take_loop_resampled_first_term(space, F, family):
     """First term of `gaussian_bound_resampled`, psi summed outcome by outcome."""
-    gradients = {}
-    _stein_terms(space, F, gradients)
+    grads, inv_grads, _, _ = functional_stein_terms(space, F)
     best = 0.0
     for fn in family:
         val = expectation(space, F.apply(fn))
-        for a, (grad, inv_grad) in gradients.items():
+        for a, grad in grads.items():
             pmf = space.coords[a].pmf
             mixed = 0.0
             for o in range(space.shape[a]):
                 mixed = mixed + pmf[o] * fn(np.take(F.data, [o], axis=a))
             psi = Functional(space, mixed, deps=F.deps - {a})
-            val -= expectation(space, psi * grad * inv_grad)
+            val -= expectation(space, psi * grad * inv_grads[a])
         best = max(best, abs(val))
     return best
 

@@ -24,7 +24,7 @@ from dmc.ewens import (
     u_k_blocks,
     variance_printed,
 )
-from dmc.space import expectation, variance
+from dmc.space import expectation
 
 from .oracles import summed_fixed_point_count, weight_table
 from .test_full_grid_operators import _peak_in_tables, _same

@@ -1,9 +1,10 @@
-"""Every module-level import in `src/dmc` is read by its module, every
-module-level definition is named somewhere, and `import dmc.cli` loads
-neither scipy nor yaml.
+"""Every module-level import in `src/dmc`, `tests` and `scripts` is read by
+its module, every module-level definition is named somewhere, and
+`import dmc.cli` loads neither scipy nor yaml.
 
 No linter ships with the project, so this parses each module with `ast`.
-`from __future__` imports and the re-exports of `__init__.py` are exempt.
+`from __future__` imports, the re-exports of `__init__.py` and import
+statements marked `# noqa: F401` (the re-exports of `conftest.py`) are exempt.
 A function, class or constant of `src/dmc` must be named (read, imported or
 reached as an attribute) somewhere under `src/`, `tests/`, `scripts/` or
 `perfbench/`; dunder names are exempt.
@@ -26,11 +27,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dmc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
-def module_imports(tree):
-    """(bound name, line) of each import statement at the top of the module."""
+def module_imports(tree, lines):
+    """(bound name, line) of each import statement at the top of the module, unless marked F401."""
     for node in tree.body:
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0], node.lineno
@@ -43,15 +47,22 @@ def test_modules_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", READERS, ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT))
+)
 def test_every_import_is_read(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    text = path.read_text()
+    tree = ast.parse(text, filename=str(path))
     read = {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    unused = [f"{name} (line {line})" for name, line in module_imports(tree) if name not in read]
+    unused = [
+        f"{name} (line {line})"
+        for name, line in module_imports(tree, text.splitlines())
+        if name not in read
+    ]
     assert not unused, f"{path.name} imports but never reads: {', '.join(unused)}"
 
 

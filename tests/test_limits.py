@@ -6,14 +6,12 @@ import pytest
 from dmc.errors import BadDensity, BadParameters, TruncationFailure
 from dmc.limits import (
     TRUNCATION_CAP,
-    FormReport,
     PartitionScheme,
     PointConfiguration,
     PointFunctional,
     WalkScheme,
     _truncation_order,
     capped_mass_functional,
-    configuration_from_counts,
     constant_point_functional,
     endpoint_functional,
     h_gram,
@@ -43,6 +41,15 @@ def uniform(x):
 
 def triangular(x):
     return 2.0 * np.asarray(x, dtype=float)
+
+
+# every entry point that tabulates a density rejects these with BadDensity
+BAD_DENSITIES = {
+    "negative": lambda x: 4.0 * np.asarray(x, dtype=float) - 1.0,
+    "zero-mass": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    "mass-3": lambda x: 3.0 * uniform(x),
+    "not-finite": lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
+}
 
 
 def recorded(fn):
@@ -87,6 +94,30 @@ class TestPartitionScheme:
             poisson_scheme(lambda x: 3.0 * uniform(x), 4)
         with pytest.raises(BadParameters):
             poisson_scheme(uniform, 0)
+
+    @pytest.mark.parametrize("name", sorted(BAD_DENSITIES))
+    def test_process_samplers_reject_what_the_scheme_rejects(self, name):
+        density = BAD_DENSITIES[name]
+        rng = np.random.default_rng(0)
+        with pytest.raises(BadDensity):
+            poisson_scheme(density, 4)
+        with pytest.raises(BadDensity):
+            sample_poisson_process(density, rng)
+        with pytest.raises(BadDensity):
+            poisson_limit(total_mass_functional(), density, rng, trials=2)
+
+    def test_scalar_density_is_broadcast_everywhere(self):
+        def scalar(x):
+            return 1.0
+
+        want = poisson_scheme(uniform, 4).boundaries
+        assert poisson_scheme(scalar, 4).boundaries.tolist() == want.tolist()
+        for seed in range(5):
+            want = sample_poisson_process(uniform, np.random.default_rng(seed))
+            assert sample_poisson_process(scalar, np.random.default_rng(seed)) == want
+        F = capped_mass_functional()
+        got = poisson_limit(F, scalar, np.random.default_rng(6), trials=50)
+        assert got == poisson_limit(F, uniform, np.random.default_rng(6), trials=50)
 
     def test_riemann_gap_shrinks(self):
         gaps = [poisson_scheme(triangular, N).riemann_gap() for N in (4, 16, 64)]

@@ -15,7 +15,6 @@ from dmc.space import (
     build_space,
     check_declared_dependencies,
     conditional_drop,
-    conditional_on,
     conditional_prefix,
     expectation,
     expectation_mc,

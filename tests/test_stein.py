@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmc.calculus import invert_number_operator, number_operator
 from dmc.errors import BadKernel, BadParameters, DegenerateVariance, TooFewSamples
-from dmc.space import Coordinate, expectation, iid_space, rademacher_space
+from dmc.space import Coordinate, conditional_drop, expectation, iid_space, rademacher_space
 from dmc.stein import (
     _stein_terms,
     CenteredGammaTarget,
@@ -19,7 +20,6 @@ from dmc.stein import (
     gaussian_bound,
     gaussian_bound_resampled,
     homogeneous_functional,
-    homogeneous_samples,
     homogeneous_gamma_bound,
     lyapounov_bound,
     resample_integral,
@@ -29,6 +29,7 @@ from dmc.stein import (
 from .oracles import functional_stein_terms, weight_table
 from .test_full_grid_operators import (
     KINDS,
+    REL,
     _functionals,
     _peak_in_tables,
     _same,
@@ -353,19 +354,29 @@ def test_stein_terms_on_bare_arrays_are_bit_identical(kind):
     sp = _with_single_outcomes() if kind == "single-outcome" else _space(kind)
     for F in (*_functionals(sp, np.random.default_rng(7)), sp.constant(2.5)):
         F = F - expectation(sp, F)
-        gradients = {}
-        carre, t2 = _stein_terms(sp, F, gradients)
-        want_grads, want_inv_grads, want_carre, want_t2 = functional_stein_terms(sp, F)
-        assert list(gradients) == sorted(want_grads) == sorted(want_inv_grads) == sorted(F.deps)
-        for a, (grad, inv_grad) in gradients.items():
-            _same(grad, want_grads[a])
-            _same(inv_grad, want_inv_grads[a])
+        carre, t2, neg_inverse = _stein_terms(sp, F)
+        _, _, want_carre, want_t2 = functional_stein_terms(sp, F)
         _same(carre, want_carre)
         assert t2 == want_t2
-        # the streaming call, which keeps no gradient, gives the same sums
-        streamed_carre, streamed_t2 = _stein_terms(sp, F)
-        _same(streamed_carre, want_carre)
-        assert streamed_t2 == want_t2
+        _same(neg_inverse, invert_number_operator(sp, F) * -1.0)
+
+
+@pytest.mark.parametrize("kind", KINDS + ["single-outcome"])
+def test_carre_du_champ_weight_matches_the_averaged_gradients(kind):
+    """W = L(FG) + F (F - E F) - G LF - carre against sum_a E_a(D_aF D_aG), G = -L^-1 F."""
+    sp = _with_single_outcomes() if kind == "single-outcome" else _space(kind)
+    for F in (*_functionals(sp, np.random.default_rng(9)), sp.constant(0.5)):
+        F = F - expectation(sp, F)
+        carre, _, G = _stein_terms(sp, F)
+        weight = (
+            number_operator(sp, F * G) + F * (F - expectation(sp, F))
+            - G * number_operator(sp, F) - carre
+        )
+        grads, inv_grads, _, _ = functional_stein_terms(sp, F)
+        want = sp.constant(0.0)
+        for a in grads:
+            want = want + conditional_drop(sp, grads[a] * inv_grads[a], a)
+        assert (weight - want).sup_norm() <= REL * F.scale() ** 2
 
 
 @pytest.mark.parametrize("kind", KINDS + ["single-outcome"])
@@ -388,10 +399,12 @@ def test_stein_reports_match_the_functional_loop(kind):
 
 
 # tracemalloc peaks on a centred full fair n = 16 table, in tables; with all
-# 2n gradients held until the sums (the Functional loop) both read 37.03
+# 2n gradients held until the sums (the Functional loop, or the per-coordinate
+# resampled loop) they read 37.03-37.05
 STEIN_PEAK_TABLES = {
     "gaussian_bound": lambda sp, F: gaussian_bound(sp, F),
     "gamma_bound": lambda sp, F: gamma_bound(sp, F, 0.5, 0.5),
+    "gaussian_bound_resampled": lambda sp, F: gaussian_bound_resampled(sp, F),
 }
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dmc.errors import ArityError, BadKernel, NotIID
 from dmc.space import Coordinate, build_space, iid_space, rademacher_space
@@ -15,7 +14,6 @@ from dmc.ustat import (
     u_statistic,
 )
 from dmc.calculus import number_operator
-from dmc.space import expectation
 
 TOL = 1e-12
 
