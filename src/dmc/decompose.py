@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import prod
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from .calculus import (
 )
 from .semigroup import resolvent
 
-GRAM_BLOCK_BYTES = 32 * 2**20
-
 
 @dataclass
 class DecompositionReport:
@@ -64,29 +61,26 @@ class DecompositionReport:
 
 
 def _gram(space: ProductSpace, terms) -> np.ndarray:
-    """E[T_i T_j] for all pairs: sum over grid blocks of rows @ rows.T.
+    """E[T_i T_j] for all pairs, read from the terms in place.
 
     The grid spans the axes some term stores (the others carry probability
-    1), and row i holds T_i sqrt(P) on one block of it.  Blocks fix the
-    leading coordinates, as few as keep all rows within GRAM_BLOCK_BYTES.
+    1) and P is the product law on it.  Row i, T_i P, fills one reused
+    buffer and meets each later term in one vdot; a term stored on fewer
+    axes meets the row summed over the axes it lacks.
     """
     m = len(terms)
-    shape = tuple(max(dims) for dims in zip(*(T.data.shape for T in terms)))
-    roots = [np.sqrt(c.pmf) if k > 1 else np.ones(1) for c, k in zip(space.coords, shape)]
-    lead, block = 0, prod(shape)
-    while lead < len(shape) and 8 * m * block > GRAM_BLOCK_BYTES:
-        block //= shape[lead]
-        lead += 1
-    trailing = reduce(np.multiply.outer, roots[lead:], np.ones(()))
-    rows = np.empty((m,) + shape[lead:])
-    flat = rows.reshape(m, block)
+    tables = [T.data for T in terms]
+    shape = tuple(max(dims) for dims in zip(*(x.shape for x in tables)))
+    laws = (c.pmf if k > 1 else np.ones(1) for c, k in zip(space.coords, shape))
+    P = reduce(np.multiply.outer, laws, np.ones(()))
+    lacks = [tuple(a for a, (k, kx) in enumerate(zip(shape, x.shape)) if kx < k) for x in tables]
+    row = np.empty(shape)
     gram = np.zeros((m, m))
-    for idx in np.ndindex(*shape[:lead]):
-        block_root = trailing * prod(r[i] for r, i in zip(roots, idx))
-        for row, T in zip(rows, terms):
-            at = tuple(i if k > 1 else 0 for i, k in zip(idx, T.data.shape))
-            np.multiply(T.data[at], block_root, out=row)
-        gram += flat @ flat.T
+    for i, x in enumerate(tables):
+        np.multiply(x, P, out=row)
+        for j in range(i, m):
+            summed = row.sum(axis=lacks[j]) if lacks[j] else row
+            gram[i, j] = gram[j, i] = np.vdot(summed, tables[j])
     return gram
 
 
@@ -114,10 +108,10 @@ def _report(space, F, order, terms, gram) -> DecompositionReport:
     """Diagnostics of F = E[F] + sum(terms), given the terms' Gram matrix.
 
     `clark` and `clark_reverse` pass `_chain_gram` of their drop chain;
-    `clark_symmetric`, whose term supports are not nested, passes the
-    blocked `_gram`.  The residual adds the terms smallest first, so the
-    running sum stays compact until the largest term joins it, and adds
-    each into the sum's own array once the sum covers that term's shape.
+    `clark_symmetric`, whose term supports are not nested, passes `_gram`.
+    The residual adds the terms smallest first, so the running sum stays
+    compact until the largest term joins it, and adds each into the sum's
+    own array once the sum covers that term's shape.
     """
     mean = expectation(space, F)
     total = np.full((1,) * space.n, mean)
@@ -251,11 +245,7 @@ def helmholtz(space: ProductSpace, U: CoordinateField):
     for special fields (see `helmholtz_conditional`); by the uniqueness
     argument the pair below is the only valid one.
     """
-    dU = divergence(space, U)
-    if dU.sup_norm() <= 1e-14:
-        phi = space.constant(0.0)
-    else:
-        phi = -1.0 * invert_number_operator(space, dU)
+    phi = -1.0 * invert_number_operator(space, divergence(space, U))
     Dphi = gradient(space, phi)
     indices = sorted(set(U.indices()) | set(Dphi.indices()))
     V = CoordinateField(space, {a: U[a] - Dphi[a] for a in indices})

@@ -141,25 +141,18 @@ class ProductSpace:
         """Tabulate a black-box functional over its dependency grid only.
 
         `fn` maps a configuration (tuple of outcome indices, one per
-        coordinate) to a real; it must only look at coordinates in `deps`.
+        coordinate, 0 outside `deps`) to a real; it must only look at
+        coordinates in `deps`.
         """
         deps = frozenset(deps)
         for a in deps:
             self.check_axis(a)
-        dep_axes = sorted(deps)
-        sub_shape = tuple(self.shape[a] for a in dep_axes)
-        self.require_exact(prod(sub_shape))
-        sub = np.empty(sub_shape if sub_shape else (), dtype=float)
-        base = [0] * self.n
-        for sub_idx in np.ndindex(*sub_shape) if sub_shape else [()]:
-            cfg = list(base)
-            for a, v in zip(dep_axes, sub_idx):
-                cfg[a] = v
-            sub[sub_idx] = fn(tuple(cfg))
-        compact = tuple(
-            self.shape[a] if a in deps else 1 for a in range(self.n)
-        )
-        return Functional(self, sub.reshape(compact), deps=deps)
+        compact = tuple(k if a in deps else 1 for a, k in enumerate(self.shape))
+        self.require_exact(prod(compact))
+        table = np.empty(compact)
+        for idx in np.ndindex(*compact):
+            table[idx] = fn(idx)
+        return Functional(self, table, deps=deps)
 
     def constant(self, c: float) -> "Functional":
         return Functional(self, np.full((1,) * self.n, float(c)), deps=frozenset())

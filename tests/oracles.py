@@ -19,12 +19,19 @@ table sliced at each coordinate's likeliest outcome and renormalised.
 copy of the table, then a product) and puts the axis back with
 `np.expand_dims`, and `tensordot_hoeffding_kernels` builds h_k and
 g_k = prod_j (I - E_j) h_k by the same contractions on k-dimensional tables:
-the routes that the one averaging kernel of `space` replaced;
+the routes that the one averaging kernel of `space` replaced.
+`tensordot_average` is that route on bare arrays: the dense-route tests
+patch it in for `space._average` in every module that binds it by name.
 `take_resample_integral` is the per-outcome `np.take` loop that
 `stein.resample_integral` replaced with (D_aF)^2 + E_a (D_aF)^2.
 
 `dense_integrate_out` and `dense_from_evaluator` store every result on the
-full grid: the dense route that compact storage is checked against;
+full grid: the dense route that compact storage is checked against.
+`config_list_from_evaluator` fills a configuration list per point of the
+dependency grid and reshapes at the end, the loop that `from_evaluator`
+replaced by one pass over the compact grid; `dense_from_evaluator` copies
+its table onto the full grid.
+
 `prefix_clark_terms` and `tail_clark_terms` build each Clark term from its
 own conditional expectation, and `pairwise_gram` is the Gram matrix of a
 report entry by entry.
@@ -47,10 +54,11 @@ replaced, each holding a table per coordinate or per term:
 `gradient_sum_number_operator` subtracts the n gradients D_aF one by one,
 `gradient_energy_poincare` squares each D_aF, `allocating_mix` and
 `allocating_concentration` make a new table for every arithmetic step,
-`full_row_gram` is the blocked GEMM of `decompose._gram` over every Clark
-term as a full-grid row, `in_order_residual` adds the Clark terms in report
-order, and `column_loop_walk_form` adds the Monte-Carlo walk form one step
-column at a time.
+`full_row_gram` is one GEMM over every term times sqrt(P) as a full-grid
+row, the route that `decompose._gram` replaced by reading the terms in
+place, `in_order_residual` adds the Clark terms in report order, and
+`column_loop_walk_form` adds the Monte-Carlo walk form one step column at a
+time.
 
 `drop_tree_clark_symmetric` is the symmetric Clark report over the 2^n - 1
 subset terms, every E[F | X_B] taken from one drop tree, with the dense
@@ -69,8 +77,9 @@ sum a `Functional` and all 2n gradients held to the end, the route that
 partial sum, the route that the suffix sums of `fixed_point_count` replaced.
 """
 
+from functools import reduce
 from itertools import combinations
-from math import comb, factorial, sqrt
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 from scipy.stats import poisson
@@ -91,7 +100,6 @@ from dmc.limits import (
 )
 from dmc.space import (
     Functional,
-    ProductSpace,
     conditional_drop,
     conditional_on,
     conditional_prefix,
@@ -101,8 +109,6 @@ from dmc.space import (
     variance,
 )
 from dmc.ustat import _require_iid, hoeffding_kernels
-
-_compact_from_evaluator = ProductSpace.from_evaluator
 
 
 def beta_weight(k: int, n: int) -> float:
@@ -293,9 +299,38 @@ def dense_integrate_out(space, F, axes):
     return Functional(space, vals, F.deps - set(axes))
 
 
+def tensordot_average(space, data, axes):
+    """`space._average` by one `tensordot` per stored axis, compact like the library."""
+    for a in sorted(set(axes)):
+        if data.shape[a] > 1:
+            data = np.expand_dims(np.tensordot(data, space.coords[a].pmf, axes=([a], [0])), a)
+    return data
+
+
+def config_list_from_evaluator(space, fn, deps):
+    """`from_evaluator` building each configuration as a list over the dependency grid."""
+    deps = frozenset(deps)
+    for a in deps:
+        space.check_axis(a)
+    dep_axes = sorted(deps)
+    sub_shape = tuple(space.shape[a] for a in dep_axes)
+    space.require_exact(prod(sub_shape))
+    sub = np.empty(sub_shape if sub_shape else (), dtype=float)
+    base = [0] * space.n
+    for sub_idx in np.ndindex(*sub_shape) if sub_shape else [()]:
+        cfg = list(base)
+        for a, v in zip(dep_axes, sub_idx):
+            cfg[a] = v
+        sub[sub_idx] = fn(tuple(cfg))
+    compact = tuple(
+        space.shape[a] if a in deps else 1 for a in range(space.n)
+    )
+    return Functional(space, sub.reshape(compact), deps=deps)
+
+
 def dense_from_evaluator(space, fn, deps):
-    """`ProductSpace.from_evaluator` with the table copied onto the full grid."""
-    F = _compact_from_evaluator(space, fn, deps)
+    """`config_list_from_evaluator` with the table copied onto the full grid."""
+    F = config_list_from_evaluator(space, fn, deps)
     return Functional(space, np.array(F.values), F.deps)
 
 
@@ -517,8 +552,16 @@ def allocating_concentration(space, F, order=None):
 
 
 def full_row_gram(space, terms):
-    """E[T_i T_j] by the blocked GEMM over every term as a full-grid row."""
-    return _gram(space, terms)
+    """E[T_i T_j] by one GEMM over every term times sqrt(P) as a full-grid row."""
+    m = len(terms)
+    shape = tuple(max(dims) for dims in zip(*(T.data.shape for T in terms)))
+    roots = [np.sqrt(c.pmf) if k > 1 else np.ones(1) for c, k in zip(space.coords, shape)]
+    root = reduce(np.multiply.outer, roots, np.ones(()))
+    rows = np.empty((m,) + shape)
+    for row, T in zip(rows, terms):
+        np.multiply(T.data, root, out=row)
+    flat = rows.reshape(m, -1)
+    return flat @ flat.T
 
 
 def in_order_residual(space, F, terms):

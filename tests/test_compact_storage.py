@@ -6,27 +6,36 @@ when every intermediate is a full-grid table, and the Clark forms and the
 report Gram must match their term-by-term routes.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmc import decompose, space as space_module
+from dmc import calculus, decompose, inequalities, stein, space as space_module
 from dmc.calculus import anova, gradient, mix
 from dmc.decompose import clark, clark_reverse, clark_symmetric
 from dmc.ewens import EwensModel, _indicator_eq, _indicator_ne, fixed_point_count
 from dmc.space import Functional, ProductSpace, rademacher_space
 from dmc.stein import gaussian_bound_resampled, resample_integral, smooth_test_family
 from .oracles import (
+    config_list_from_evaluator,
     dense_from_evaluator,
     dense_integrate_out,
+    drop_tree_clark_symmetric,
+    full_row_gram,
     pairwise_gram,
     prefix_clark_terms,
     tail_clark_terms,
+    tensordot_average,
 )
 from .test_drop_routes import KINDS, _functionals, _space
 from .test_quadrature_routes import _mixed_space
 
 REL = 1e-14
+
+# every module that binds `_average` by name, so the dense route replaces each lookup
+AVERAGING_MODULES = (space_module, calculus, decompose, inequalities, stein)
 
 
 def _assert_compact(F):
@@ -64,10 +73,19 @@ def _outputs(sp, F):
     return out
 
 
-def _check_against_dense_route(sp, F, monkeypatch):
-    got = _outputs(sp, F)
+@contextmanager
+def _dense_route(monkeypatch):
+    """Full-grid `integrate_out` and the tensordot averages in place of the library's."""
     with monkeypatch.context() as m:
         m.setattr(space_module, "integrate_out", dense_integrate_out)
+        for module in AVERAGING_MODULES:
+            m.setattr(module, "_average", tensordot_average)
+        yield
+
+
+def _check_against_dense_route(sp, F, monkeypatch):
+    got = _outputs(sp, F)
+    with _dense_route(monkeypatch):
         want = _outputs(sp, _dense(F))
     assert want["integrate_out"].data.shape == sp.shape
     scale = F.scale()
@@ -110,16 +128,19 @@ def test_clark_chains_match_the_conditional_routes(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_gram_matches_pairwise_products(kind, monkeypatch):
+def test_gram_matches_pairwise_products(kind):
     sp = _space(kind)
     F = _functionals(sp, np.random.default_rng(7))[0]
     rep = clark_symmetric(sp, F)
-    want = pairwise_gram(sp, rep.terms)
     scale2 = F.scale() ** 2
-    assert np.max(np.abs(rep.gram - want)) <= REL * scale2
-    # a budget of a few rows splits the grid into blocks along its leading axes
-    monkeypatch.setattr(decompose, "GRAM_BLOCK_BYTES", 8 * 4 * len(rep.terms))
-    assert np.max(np.abs(decompose._gram(sp, rep.terms) - want)) <= REL * scale2
+    assert np.max(np.abs(rep.gram - pairwise_gram(sp, rep.terms))) <= REL * scale2
+    # the subset terms store different axes, so most pairs meet through a summed row
+    subset_terms = drop_tree_clark_symmetric(sp, F).terms
+    assert len({T.data.shape for T in subset_terms}) == 2**sp.n - 1
+    for terms in (rep.terms, subset_terms):
+        got = decompose._gram(sp, terms)
+        for want in (pairwise_gram(sp, terms), full_row_gram(sp, terms)):
+            assert np.max(np.abs(got - want)) <= REL * scale2
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -129,8 +150,7 @@ def test_stein_resampling_matches_the_dense_route(kind, monkeypatch):
     for F in _functionals(sp, np.random.default_rng(8)):
         F = F - space_module.expectation(sp, F)
         got = gaussian_bound_resampled(sp, F, family)
-        with monkeypatch.context() as m:
-            m.setattr(space_module, "integrate_out", dense_integrate_out)
+        with _dense_route(monkeypatch):
             want = gaussian_bound_resampled(sp, _dense(F), family)
         scale = max(1.0, abs(want.total))
         assert abs(got.t1 - want.t1) <= REL * scale
@@ -198,3 +218,19 @@ def test_fixed_point_count_matches_the_dense_route(N, t, monkeypatch):
     _assert_compact(got)
     assert want.data.shape == got.data.shape == model.space.shape
     assert np.array_equal(got.values, want.values)
+
+
+def test_evaluator_tabulates_the_compact_grid_as_the_configuration_list():
+    sp = _mixed_space([3, 2, 4, 2], np.random.default_rng(9))
+    for deps in (set(), {2}, {0, 3}, {0, 1, 2, 3}):
+        seen = {"new": [], "old": []}
+
+        def fn(cfg, route):
+            seen[route].append(cfg)
+            return np.sin(1.0 + sum((a + 1.7) * v for a, v in enumerate(cfg)))
+
+        new = sp.from_evaluator(lambda cfg: fn(cfg, "new"), deps)
+        old = config_list_from_evaluator(sp, lambda cfg: fn(cfg, "old"), deps)
+        assert seen["new"] == seen["old"]
+        assert new.deps == old.deps and new.data.shape == old.data.shape
+        assert new.data.tobytes() == old.data.tobytes()

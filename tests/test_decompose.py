@@ -168,6 +168,19 @@ class TestHelmholtz:
         for a in range(sp.n):
             assert (V2[a] - V[a]).sup_norm() <= 1e-9 * V[a].scale()
 
+    @pytest.mark.parametrize("c", [1e-16, 1e16])
+    def test_scales_with_the_field(self, c):
+        # no absolute cut-off: a tiny field keeps its gradient part
+        sp = rademacher_space(3)
+        U = random_field(sp, np.random.default_rng(3))
+        phi, V = helmholtz(sp, U)
+        phi_c, V_c = helmholtz(sp, CoordinateField(sp, {a: U[a] * c for a in range(sp.n)}))
+        assert (phi_c - phi * c).sup_norm() <= 1e-14 * c * phi.sup_norm()
+        for a in range(sp.n):
+            assert (V_c[a] - V[a] * c).sup_norm() <= 1e-14 * c * V[a].sup_norm()
+        size = max(U[a].sup_norm() for a in range(sp.n))
+        assert divergence(sp, V_c).sup_norm() <= 1e-14 * c * size
+
     def test_conditional_construction_fails_on_pinned_field(self, sp2):
         # The predictable-projection construction is not a decomposition for
         # U = (0, X1*X2): it puts X1*X2 into phi although D_1(phi) must be 0.

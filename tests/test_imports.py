@@ -1,6 +1,7 @@
 """Every module-level import in `src/dmc`, `tests` and `scripts` is read by
-its module, every module-level definition is named somewhere, and
-`import dmc.cli` loads neither scipy nor yaml.
+its module, every module-level definition is named somewhere, `import
+dmc.cli` loads neither scipy nor yaml, and the dense-route tests patch
+`_average` in every module of `src/dmc` that binds it.
 
 No linter ships with the project, so this parses each module with `ast`.
 `from __future__` imports, the re-exports of `__init__.py` and import
@@ -20,9 +21,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
+
+from .test_compact_storage import AVERAGING_MODULES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "dmc"
@@ -103,6 +107,18 @@ def test_every_definition_is_named():
         if name not in named and not name.startswith("__")
     ]
     assert not unnamed, f"defined but never named: {', '.join(unnamed)}"
+
+
+def test_the_dense_route_patches_every_average_binding():
+    """`_average` is looked up where a module binds it, so the dense route must patch each binder."""
+    binders = set()
+    for path in MODULES:
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        bound = chain(module_imports(tree, text.splitlines()), module_definitions(tree))
+        if any(name == "_average" for name, _ in bound):
+            binders.add(path.stem)
+    assert binders == {module.__name__.rpartition(".")[2] for module in AVERAGING_MODULES}
 
 
 CHILD = """

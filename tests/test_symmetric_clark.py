@@ -130,6 +130,7 @@ def test_holds_the_coordinate_terms_and_a_few_tables():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 12 terms, 12 Gram rows and the recursion's few tables: measured 26.8
-    # tables, where the subset route peaked at 296 MiB (about 9,000)
-    assert (peak - 4096) / F.data.nbytes <= 26.9
+    # 12 terms and the recursion's few tables, the Gram's weight table and row
+    # buffer among them: measured 17.7 tables, where the subset route peaked
+    # at 296 MiB (about 9,000)
+    assert (peak - 4096) / F.data.nbytes <= 18.0
