@@ -10,13 +10,15 @@ Two approximating product structures and their limit forms:
   to E[ ||grad F||_H^2 ].
 
 Exact fast paths are provided for linear functionals; everything else is
-Monte-Carlo with explicit RNG streams and reported standard errors.
+Monte-Carlo with explicit RNG streams and reported standard errors.  The
+walk form's Monte-Carlo route draws its steps in blocks of WALK_BLOCK
+entries and keeps O(trials) vectors plus one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import lgamma, log, sqrt
 from typing import Callable
 
 import numpy as np
@@ -24,6 +26,7 @@ import numpy as np
 from .errors import BadDensity, BadParameters, TruncationFailure
 
 DENSITY_GRID = 8192
+WALK_BLOCK = 2**16  # entries of one block of Monte-Carlo draws
 TRUNCATION_CAP = 400
 
 
@@ -62,21 +65,24 @@ class PartitionScheme:
         return worst
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of y from x[0] to each x[i], the first one 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def _density_cdf(density: Callable) -> tuple:
     """(grid, CDF) of a unit-mass density on [0, 1], tabulated on DENSITY_GRID cells.
 
     The density may return a scalar; it must be finite and non-negative,
     with trapezoidal mass 1 to within 1e-6, else BadDensity.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     grid = np.linspace(0.0, 1.0, DENSITY_GRID + 1)
     d = np.asarray(density(grid), dtype=float)
     if d.shape != grid.shape:
         d = np.broadcast_to(d, grid.shape).astype(float)
     if not np.all(np.isfinite(d)) or np.any(d < 0.0):
         raise BadDensity("density must be finite and non-negative on [0, 1]")
-    cdf = np.concatenate([[0.0], cumulative_trapezoid(d, grid)])
+    cdf = _cumulative_trapezoid(d, grid)
     total = cdf[-1]
     if not total > 0.0:
         raise BadDensity("density has zero total mass")
@@ -191,16 +197,28 @@ class FormReport:
     truncation_bound: float = 0.0
 
 
-def _truncation_order(p: float, tail_eps: float, max_order: int) -> int:
-    """Smallest T with Poisson(p) tail mass beyond T below tail_eps."""
-    from scipy.stats import poisson
+def _poisson_law(q: float, tail_eps: float, max_order: int) -> tuple:
+    """(pmf over 0..T, tail mass beyond T) of Poisson(q).
 
-    for T in range(max_order + 1):
-        if poisson.sf(T, p) < tail_eps:
-            return T
-    raise TruncationFailure(
-        f"Poisson({p}) tail stays above {tail_eps} up to order {max_order}"
-    )
+    T is the smallest order whose tail mass is below tail_eps; none up to
+    max_order raises TruncationFailure.  The tails are summed from the far
+    end of one pmf table that runs 64 entries past both max_order and 2q;
+    past 2q each entry is at most half the one before, so the mass the table
+    leaves out is below 2^-64 of any tail up to max_order.
+    """
+    if q == 0.0:
+        return np.array([1.0]), 0.0
+    k = np.arange(int(max(2.0 * q, max_order + 1.0)) + 65)
+    log_pmf = k * log(q) - q - np.array([lgamma(j + 1.0) for j in k.tolist()])
+    pmf = np.exp(log_pmf)
+    tails = np.cumsum(pmf[:0:-1])[::-1]  # tails[T] = sum_{j > T} pmf[j]
+    below = np.flatnonzero(tails[: max_order + 1] < tail_eps)
+    if below.size == 0:
+        raise TruncationFailure(
+            f"Poisson({q}) tail stays above {tail_eps} up to order {max_order}"
+        )
+    T = int(below[0])
+    return pmf[: T + 1], float(tails[T])
 
 
 def poisson_form(
@@ -231,16 +249,13 @@ def poisson_form(
         return FormReport(value=float(np.sum(c * c * p)), se=0.0, exact=True)
     if trials < 2 or rng is None:
         raise BadParameters(f"non-linear functionals need rng and trials >= 2, got {trials}")
-    from scipy.stats import poisson
-
     N = scheme.N
     masses, kind = np.unique(p, return_inverse=True)
     pmf, tails = [], []
     for q in masses:
-        T = _truncation_order(q, tail_eps, max_order)
-        w = poisson.pmf(np.arange(T + 1), q)
+        w, tail = _poisson_law(q, tail_eps, max_order)
         pmf.append(list(w / w.sum()))
-        tails.append(poisson.sf(T, q))
+        tails.append(tail)
     trunc = float(sum(tails[k] for k in kind))
     cell_pmf = [pmf[k] for k in kind]
     anchors = np.asarray(scheme.anchors, dtype=float).tolist()
@@ -381,10 +396,8 @@ def endpoint_functional() -> WalkFunctional:
 
 
 def _tail_integral(g: Callable, grid: np.ndarray) -> np.ndarray:
-    from scipy.integrate import cumulative_trapezoid
-
     vals = np.asarray(g(grid), dtype=float)
-    cum = np.concatenate([[0.0], cumulative_trapezoid(vals, grid)])
+    cum = _cumulative_trapezoid(vals, grid)
     return cum[-1] - cum
 
 
@@ -439,15 +452,29 @@ def walk_form(
         raise BadParameters(f"Monte-Carlo trials must be >= 2, got {trials}")
     if inner < 2:
         raise BadParameters(f"inner sample size must be >= 2, got {inner}")
-    steps = scheme.sample_steps(rng, trials)
-    fresh = rng.normal(size=(trials, inner))
-    inner_mean = fresh.mean(axis=1)
-    per_trial = -np.sum(c * c) * fresh.var(axis=1, ddof=1) / inner
-    # sum_k c_k^2 (step_k - inner mean)^2 in place over the steps; einsum, not
-    # a BLAS gemv, whose work buffer would raise the peak RSS by a trials vector
-    steps -= inner_mean[:, None]
-    np.square(steps, out=steps)
-    per_trial += np.einsum("tk,k->t", steps, c * c)
+    # per_trial = sum_k c_k^2 (step_k - m)^2 - C v / inner = A - 2 m B + m^2 C
+    # - C v / inner, with A = sum_k c_k^2 step_k^2, B = sum_k c_k^2 step_k,
+    # C = sum_k c_k^2 and m, v the mean and sample variance of the fresh steps.
+    # The steps are drawn a block of rows at a time, then the fresh steps,
+    # so the draws come in the order of one (trials, N) and one (trials,
+    # inner) table.
+    c2 = c * c
+    C = float(np.sum(c2))
+    per_trial = np.empty(trials)  # A, then the estimate
+    B = np.empty(trials)
+    rows = max(1, WALK_BLOCK // scheme.N)
+    for lo in range(0, trials, rows):
+        steps = scheme.sample_steps(rng, min(rows, trials - lo))
+        hi = lo + steps.shape[0]
+        B[lo:hi] = np.einsum("tk,k->t", steps, c2)
+        np.square(steps, out=steps)
+        per_trial[lo:hi] = np.einsum("tk,k->t", steps, c2)
+    rows = max(1, WALK_BLOCK // inner)
+    for lo in range(0, trials, rows):
+        fresh = rng.normal(size=(min(rows, trials - lo), inner))
+        hi = lo + fresh.shape[0]
+        m = fresh.mean(axis=1)
+        per_trial[lo:hi] += m * (m * C - 2.0 * B[lo:hi]) - C * fresh.var(axis=1, ddof=1) / inner
     return FormReport(
         value=float(per_trial.mean()),
         se=float(per_trial.std(ddof=1) / sqrt(trials)),

@@ -216,6 +216,9 @@ class KernelMatrix:
         f = np.asarray(self.f, dtype=float)
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise BadKernel(f"kernel must be square, got shape {f.shape}")
+        # NaN fails every comparison, so it would pass the checks below
+        if not np.all(np.isfinite(f)):
+            raise BadKernel("kernel entries must be finite")
         if np.max(np.abs(f - f.T)) > 1e-12:
             raise BadKernel("kernel must be symmetric")
         if np.max(np.abs(np.diag(f))) > 1e-12:

@@ -47,7 +47,11 @@ the Poisson form that evaluates F at a trial's configuration once per cell.
 `dense_counts_poisson_form` builds each perturbed configuration of the
 Poisson form from all N counts, the route that `poisson_form` replaced by
 editing the trial's occupied cells, and `per_draw_cdf_poisson_limit`
-tabulates the process CDF again for every draw of `poisson_limit`.
+tabulates the process CDF again for every draw of `poisson_limit`.  Both
+Poisson forms take each cell's law from `limits._poisson_law`, so they
+compare the configuration routes bit for bit; `_truncation_order` and
+`scipy_poisson_law` are the scipy route that `_poisson_law` replaced, the
+truncation order from `poisson.sf` and the law from `poisson.pmf`.
 
 The full-grid operators hold O(1) tables; these are the routes they
 replaced, each holding a table per coordinate or per term:
@@ -91,10 +95,11 @@ from dmc.calculus import (
     invert_number_operator,
 )
 from dmc.decompose import _gram, _report
+from dmc.errors import TruncationFailure
 from dmc.ewens import fixed_point_field
 from dmc.limits import (
     FormReport,
-    _truncation_order,
+    _poisson_law,
     configuration_from_counts,
     sample_poisson_process,
 )
@@ -435,13 +440,31 @@ def masked_exact_tail(space, F, x):
     return float(np.sum(weight_table(space)[mask]))
 
 
+def _truncation_order(p, tail_eps, max_order):
+    """Smallest T with Poisson(p) tail mass beyond T below tail_eps, by scipy's sf.
+
+    One vectorised `poisson.sf` call gives the same tails as a call per order.
+    """
+    below = np.flatnonzero(poisson.sf(np.arange(max_order + 1), p) < tail_eps)
+    if below.size == 0:
+        raise TruncationFailure(
+            f"Poisson({p}) tail stays above {tail_eps} up to order {max_order}"
+        )
+    return int(below[0])
+
+
+def scipy_poisson_law(q, tail_eps, max_order):
+    """(pmf over 0..T, tail mass beyond T) of Poisson(q) from scipy's pmf and sf."""
+    T = _truncation_order(q, tail_eps, max_order)
+    return poisson.pmf(np.arange(T + 1), q), float(poisson.sf(T, q))
+
+
 def per_cell_poisson_form(F, scheme, rng, trials, tail_eps=1e-9, max_order=400):
     """Monte-Carlo Poisson form evaluating F(w) once per cell and trial."""
     p = scheme.masses
-    orders = [_truncation_order(p[m], tail_eps, max_order) for m in range(scheme.N)]
     pmf = []
-    for m, T in enumerate(orders):
-        w = poisson.pmf(np.arange(T + 1), p[m])
+    for m in range(scheme.N):
+        w, _ = _poisson_law(p[m], tail_eps, max_order)
         pmf.append(w / w.sum())
     per_trial = np.empty(trials)
     for s in range(trials):
@@ -470,12 +493,12 @@ def dense_counts_poisson_form(
     """Monte-Carlo Poisson form rebuilding every configuration from all N counts."""
     p = scheme.masses
     N = scheme.N
-    orders = [_truncation_order(p[m], tail_eps, max_order) for m in range(N)]
-    pmf = []
-    for m, T in enumerate(orders):
-        w = poisson.pmf(np.arange(T + 1), p[m])
+    pmf, tails = [], []
+    for m in range(N):
+        w, tail = _poisson_law(p[m], tail_eps, max_order)
         pmf.append(w / w.sum())
-    trunc = float(sum(poisson.sf(T, p[m]) for m, T in enumerate(orders)))
+        tails.append(tail)
+    trunc = float(sum(tails))
     per_trial = np.empty(trials)
     for s in range(trials):
         counts = rng.poisson(p)

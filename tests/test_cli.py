@@ -187,6 +187,15 @@ class TestOtherSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_stein_homog_non_finite_kernel_rejected(self, capsys, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,{cell}\n{cell},0\n")
+        assert main(["stein-homog", "--kernel", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: kernel entries must be finite\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"],
                              ids=["empty", "blank-lines", "comment-only"])
     def test_stein_homog_empty_kernel_csv(self, capsys, tmp_path, text):

@@ -18,7 +18,7 @@ from dmc import calculus, semigroup
 from dmc.calculus import invert_number_operator, mix, number_operator
 from dmc.decompose import clark, clark_reverse, clark_symmetric, poincare
 from dmc.inequalities import concentration
-from dmc.limits import WalkScheme, time_integral_functional, walk_form
+from dmc.limits import WALK_BLOCK, WalkScheme, time_integral_functional, walk_form
 from dmc.semigroup import mehler_apply, resolvent
 from dmc.space import (
     Coordinate,
@@ -234,28 +234,49 @@ def test_full_grid_operators_hold_a_few_tables(name):
     assert _peak_in_tables(lambda: op(sp, F), F) <= bound
 
 
-@pytest.mark.parametrize("N", [1, 8, 64])
-@pytest.mark.parametrize("seed", [5, 6])
-def test_walk_form_matches_the_column_loop(N, seed):
+def _check_walk_form(N, seed, trials, inner=64):
     F, scheme = time_integral_functional(), WalkScheme(N)
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = walk_form(F, scheme, rng=rng_new, trials=400)
-    old = column_loop_walk_form(F, scheme, rng_old, trials=400)
+    new = walk_form(F, scheme, rng=rng_new, trials=trials, inner=inner)
+    old = column_loop_walk_form(F, scheme, rng_old, trials=trials, inner=inner)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state  # same draws
     assert abs(new.value - old.value) <= REL * abs(old.value)
     assert abs(new.se - old.se) <= 1e-12 * old.se
     assert not new.exact
 
 
+@pytest.mark.parametrize("N", [1, 8, 64])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_walk_form_matches_the_column_loop(N, seed):
+    _check_walk_form(N, seed, trials=400)
+
+
+# (N, trials, inner) past the edges of the draw blocks of WALK_BLOCK entries
+WALK_BLOCK_CASES = {
+    "trials-not-whole-blocks": (64, 2 * (WALK_BLOCK // 64) + 3, 64),
+    "N-over-one-block": (WALK_BLOCK + 3, 3, 64),
+    "inner-over-one-block": (8, 5, WALK_BLOCK + 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_BLOCK_CASES))
+def test_walk_form_blocks_match_the_column_loop(case):
+    N, trials, inner = WALK_BLOCK_CASES[case]
+    _check_walk_form(N, 5, trials, inner)
+
+
 def test_walk_form_allocates_no_second_step_table():
-    F, scheme, trials = time_integral_functional(), WalkScheme(256), 1000
-    walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+    # a (trials, N) step table is 39 MiB at N = 256 and a (trials, inner)
+    # fresh table 9.8 MiB; the blocks keep two trials vectors and one block
+    trials = 20000
+    for N in (8, 256):
+        F, scheme = time_integral_functional(), WalkScheme(N)
         walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    steps, fresh = 8 * trials * scheme.N, 8 * trials * 64
-    assert peak <= steps + fresh + 0.5 * steps
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20

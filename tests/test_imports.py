@@ -11,9 +11,9 @@ reached as an attribute) somewhere under `src/`, `tests/`, `scripts/` or
 `perfbench/`; dunder names are exempt.
 
 scipy and yaml are imported inside the functions that use them, so a fresh
-interpreter that imports `dmc.cli` and runs a subcommand that needs neither
-(`clark`) has loaded neither.  `limits-poisson` loads scipy and
-`space_from_file` loads yaml, both when called.
+interpreter that imports `dmc.cli` and runs every subcommand has loaded
+neither.  Only `space_from_file` loads yaml, when called; scipy is left to
+the library's Stein targets.
 """
 
 import ast
@@ -129,13 +129,24 @@ tmp = Path(sys.argv[1])
 loaded = lambda: sorted(m for m in ("scipy", "yaml") if m in sys.modules)
 import dmc.cli
 
-seen = {"import": loaded()}
-seen["clark_rc"] = dmc.cli.main(["clark", "--trials", "2", "--out", str(tmp / "clark.json")])
-seen["clark"] = loaded()
-seen["poisson_rc"] = dmc.cli.main(
-    ["limits-poisson", "--grid", "4,8", "--trials", "20", "--out", str(tmp / "poisson.csv")]
-)
-seen["poisson"] = loaded()
+(tmp / "kernel.csv").write_text("0,0.5,0.5\\n0.5,0,0.5\\n0.5,0.5,0\\n")
+ARGV = {
+    "identities": ["--trials", "2"],
+    "semigroup": ["--trials", "200", "--repeats", "1"],
+    "clark": ["--trials", "2"],
+    "inequalities": ["--trials", "2"],
+    "hoeffding": ["--n", "3"],
+    "ewens": ["--N", "3", "--enum"],
+    "stein-gaussian": ["--n", "4"],
+    "stein-gamma": ["--n", "3"],
+    "stein-homog": ["--kernel", str(tmp / "kernel.csv")],
+    "limits-poisson": ["--functional", "capped", "--grid", "4,8", "--trials", "20"],
+    "limits-walk": ["--mode", "mc", "--grid", "8", "--trials", "20"],
+}
+seen = {"import": loaded(), "commands": sorted(dmc.cli.RUNNERS) + sorted(dmc.cli.CSV_RUNNERS)}
+for command, extra in ARGV.items():
+    rc = dmc.cli.main([command, *extra, "--out", str(tmp / command)])
+    seen[command] = [rc, loaded()]
 (tmp / "space.yaml").write_text(
     "coords:\\n  - id: x1\\n    outcomes:\\n"
     "      - {label: a, p: 0.25, value: 0.0}\\n      - {label: b, p: 0.75, value: 2.0}\\n"
@@ -158,7 +169,10 @@ def test_cli_import_loads_neither_scipy_nor_yaml(tmp_path):
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen["import"] == []
-    assert (seen["clark_rc"], seen["clark"]) == (0, [])
-    assert (seen["poisson_rc"], seen["poisson"]) == (0, ["scipy"])
-    assert len((tmp_path / "poisson.csv").read_text().splitlines()) == 3
-    assert (seen["space_shape"], seen["space"]) == ([2], ["scipy", "yaml"])
+    commands = seen.pop("commands")
+    assert len(commands) == 11
+    assert {command: seen[command] for command in commands} == {
+        command: [0, []] for command in commands
+    }
+    assert len((tmp_path / "limits-poisson").read_text().splitlines()) == 3
+    assert (seen["space_shape"], seen["space"]) == ([2], ["yaml"])

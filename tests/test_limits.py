@@ -1,4 +1,4 @@
-from math import exp, sqrt
+from math import exp, lgamma, log, sqrt
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from dmc.limits import (
     PointConfiguration,
     PointFunctional,
     WalkScheme,
-    _truncation_order,
+    _cumulative_trapezoid,
+    _poisson_law,
     capped_mass_functional,
     constant_point_functional,
     endpoint_functional,
@@ -27,9 +28,11 @@ from dmc.limits import (
     weighted_integral_functional,
 )
 from .oracles import (
+    _truncation_order,
     dense_counts_poisson_form,
     per_cell_poisson_form,
     per_draw_cdf_poisson_limit,
+    scipy_poisson_law,
 )
 
 TOL = 1e-12
@@ -123,6 +126,47 @@ class TestPartitionScheme:
         gaps = [poisson_scheme(triangular, N).riemann_gap() for N in (4, 16, 64)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-2
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("density", [uniform, triangular, lambda x: np.exp(np.sin(7.0 * x))])
+    def test_cumulative_trapezoid_is_scipys(self, density):
+        from scipy.integrate import cumulative_trapezoid
+
+        grid = np.linspace(0.0, 1.0, 8193)
+        y = density(grid)
+        want = np.concatenate([[0.0], cumulative_trapezoid(y, grid)])
+        assert np.array_equal(_cumulative_trapezoid(y, grid), want)
+
+    @pytest.mark.parametrize("tail_eps", [0.9, 1e-9, 1e-15, 1e-300])
+    def test_poisson_law_matches_scipy(self, tail_eps):
+        masses = [1.0 / N for N in range(1, 4097)] + [0.5, 3.0, 20.0, 100.0, 250.0, 350.0]
+        failed = []
+        for q in masses:
+            try:
+                want_pmf, want_tail = scipy_poisson_law(q, tail_eps, TRUNCATION_CAP)
+            except TruncationFailure:
+                failed.append(q)
+                with pytest.raises(TruncationFailure):
+                    _poisson_law(q, tail_eps, TRUNCATION_CAP)
+                continue
+            pmf, tail = _poisson_law(q, tail_eps, TRUNCATION_CAP)
+            assert len(pmf) == len(want_pmf)  # the same truncation order T
+            # relative to the size of the log-pmf k log q - q - lgamma(k + 1)
+            k = np.arange(len(pmf))
+            scale = 1e-15 * (k * abs(log(q)) + q + np.array([lgamma(j + 1.0) for j in k]) + 1.0)
+            assert np.all(np.abs(pmf - want_pmf) <= scale * want_pmf)
+            assert abs(tail - want_tail) <= scale[-1] * want_tail
+        # the masses whose tail beyond the cap is not below tail_eps
+        want = {0.9: [], 1e-9: [350.0], 1e-15: [350.0], 1e-300: [100.0, 250.0, 350.0]}
+        assert failed == want[tail_eps]
+
+    def test_poisson_law_of_an_empty_cell(self):
+        for tail_eps in (0.9, 1e-300):
+            pmf, tail = _poisson_law(0.0, tail_eps, TRUNCATION_CAP)
+            assert pmf.tolist() == [1.0] and tail == 0.0
+        want_pmf, want_tail = scipy_poisson_law(0.0, 1e-300, TRUNCATION_CAP)
+        assert (want_pmf.tolist(), want_tail) == ([1.0], 0.0)
 
 
 class TestConfigurations:
