@@ -7,11 +7,11 @@ L = -sum_a D_a acts as multiplication by -|S| on the ANOVA component
 supported on the coordinate subset S.
 
 The generating operator M_u = prod_a (u I + (1-u) E_a) multiplies that
-component by u^|S|, so M_u F = sum_k u^k H_k over the ANOVA layers H_k.
-Integrals of M_u over u in [0, 1] are polynomial in u; Gauss-Legendre
-quadrature evaluates them exactly from a few mixing passes, which gives the
-pseudo-inverse of L (and the resolvent in `semigroup`) without enumerating
-coordinate subsets.
+component by u^|S|, so M_u F = sum_k u^k H_k over the ANOVA layers H_k;
+`order_layers` takes the H_k as its coefficients.  Integrals of M_u over u
+in [0, 1] are polynomial in u; Gauss-Legendre quadrature evaluates them
+exactly from a few mixing passes, which gives the pseudo-inverse of L (and
+the resolvent in `semigroup`).  Only `anova` enumerates coordinate subsets.
 """
 
 from __future__ import annotations
@@ -143,6 +143,26 @@ def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
                 split[S | {a}] = kept
         nodes = split
     return AnovaDecomposition(space, {S: Functional(space, G, S) for S, G in nodes.items()})
+
+
+def order_layers(space: ProductSpace, F: Functional) -> list:
+    """The ANOVA layers [H_0, ..., H_|deps|]: H_k sums F_S over |S| = k.
+
+    They are the u^k coefficients of M_u F = prod_a (E_a + u D_a) F, so
+    coordinate a maps L_k to E_a L_k + D_a L_{k-1}.  Run from the top order
+    down, each E_a L_k serves L_k and L_{k+1}; H_0 = E F is stored 1 x ... x 1.
+    """
+    layers = [F.data]
+    for a in sorted(F.deps):
+        above = 0.0  # E_a of the layer one order up; the new top layer has none
+        for k in range(len(layers) - 1, 0, -1):
+            below = _average(space, layers[k], [a])
+            layers[k] = layers[k] - below  # D_a L_k, the new L_{k+1} once `above` is added
+            layers[k] += above
+            above = below
+        below = _average(space, layers[0], [a])
+        layers[0:1] = [below, layers[0] - below + above]
+    return [Functional(space, L, F.deps if k else frozenset()) for k, L in enumerate(layers)]
 
 
 def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:

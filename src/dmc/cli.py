@@ -592,6 +592,7 @@ def main(argv=None) -> int:
         if k not in ("command", "seed", "out")
     }
     try:
+        _at_least(args, "seed", 0)
         _at_least(args, "trials", 0)
         _at_least(args, "repeats", 0)
         if args.command in CSV_RUNNERS:

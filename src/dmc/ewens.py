@@ -35,8 +35,8 @@ class EwensModel:
     def __post_init__(self):
         if self.N < 1:
             raise BadParameters(f"N must be >= 1, got {self.N}")
-        if not self.t > 0:
-            raise BadParameters(f"t must be > 0, got {self.t}")
+        if not 0 < self.t < np.inf:
+            raise BadParameters(f"t must be finite and > 0, got {self.t}")
         self.space = index_space(self.N, self.t)
 
     def p(self, k: int) -> float:

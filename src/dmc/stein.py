@@ -68,8 +68,8 @@ class CenteredGammaTarget:
     lam: float
 
     def __post_init__(self):
-        if not (self.r > 0 and self.lam > 0):
-            raise BadParameters(f"need r, lam > 0, got r={self.r}, lam={self.lam}")
+        if not (0 < self.r < np.inf and 0 < self.lam < np.inf):
+            raise BadParameters(f"need finite r, lam > 0, got r={self.r}, lam={self.lam}")
 
     def cdf(self, x):
         from scipy.stats import gamma as gamma_dist
@@ -282,15 +282,14 @@ def gamma_bound(space: ProductSpace, F: Functional, r: float, lam: float) -> Ste
     c1 = 2 lam max(1, 1/r) multiplies b1 and c2 = lam (max(lam, lam/r) + 1)
     multiplies b2; both are recorded in the report.
     """
-    if not (r > 0 and lam > 0):
-        raise BadParameters(f"need r, lam > 0, got r={r}, lam={lam}")
+    target = CenteredGammaTarget(r, lam)  # checks r and lam
     carre, b2, _ = _stein_terms(space, F)
     inside = F * (1.0 / lam) + space.constant(r / lam**2) - carre
     b1 = expectation(space, inside.apply(np.abs))
     c1 = 2.0 * lam * max(1.0, 1.0 / r)
     c2 = lam * (max(lam, lam / r) + 1.0)
     return SteinReport(
-        target=f"centered-gamma(r={r}, lam={lam})",
+        target=target.describe(),
         t1=b1, t2=b2, total=c1 * b1 + c2 * b2,
         constants={"c1": c1, "c2": c2},
         note="total applies the documented constant policy to the raw brackets",
@@ -341,6 +340,8 @@ def homogeneous_gamma_bound(K: KernelMatrix, fourth_moment: float) -> Homogeneou
     The theorem's constant c_nu is unspecified; it is reported as a flagged
     unit multiplier and excluded from any pass/fail use.
     """
+    if not np.isfinite(fourth_moment):
+        raise BadParameters(f"the fourth moment must be finite, got {fourth_moment}")
     c = contractions(K)
     term_fourth = float(np.sum(K.f**4))
     term_star21 = float(np.sum(c.star21**2))

@@ -26,7 +26,7 @@ from .errors import ArityError, BadKernel, NotIID
 from .space import (
     Coordinate, Functional, ProductSpace, conditional_drop, expectation, iid_space, variance
 )
-from .calculus import anova, gradient_component, number_operator
+from .calculus import gradient_component, number_operator, order_layers
 from .decompose import _gram, clark_symmetric
 
 DEGENERACY_TOL = 1e-12
@@ -181,12 +181,10 @@ def hoeffding_via_projections(space: ProductSpace, h: SymmetricKernel, n: int) -
     """Independent route: interaction-order projections of U_n.
 
     The k-th Hoeffding layer is the sum of the orthogonal components of U_n
-    supported on exactly k coordinates; built here from the orthogonal
-    subset expansion, with no reference to the kernels g_k.
+    supported on exactly k coordinates, the u^k coefficient of M_u U_n
+    (`order_layers`), with no reference to the kernels g_k.
     """
-    U = u_statistic(space, h, n)
-    dec = anova(space, U)
-    return [dec.order_sum(k) for k in range(1, h.arity + 1)]
+    return order_layers(space, u_statistic(space, h, n))[1 : h.arity + 1]
 
 
 def symmetric_clark_groups(space: ProductSpace, h: SymmetricKernel, n: int) -> list:

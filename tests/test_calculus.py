@@ -15,11 +15,13 @@ from dmc.calculus import (
     gradient_component,
     invert_number_operator,
     number_operator,
+    order_layers,
     trace_form,
 )
 from dmc.errors import NotCentered
-from dmc.space import expectation, rademacher_space
+from dmc.space import build_space, expectation, rademacher_coordinate, rademacher_space
 from .conftest import adapted_field, random_field, random_functional, random_space
+from .test_quadrature_routes import _mixed_space
 
 TOL = 1e-12
 
@@ -121,6 +123,48 @@ class TestAnova:
             if S:
                 LFS = number_operator(sp, FS)
                 assert (LFS + len(S) * FS).sup_norm() <= 1e-11 * F.scale()
+
+
+def _layer_space(kind, rng):
+    if kind == "fair":
+        return rademacher_space(9)
+    if kind == "p02":
+        return build_space([rademacher_coordinate(f"x{i}", p=0.2) for i in range(9)])
+    return _mixed_space((3, 2, 3, 2, 3, 2, 3, 2, 3), rng)
+
+
+class TestOrderLayers:
+    """`order_layers` against the order sums of the ANOVA subset tree."""
+
+    @pytest.mark.parametrize("kind", ["fair", "p02", "mixed"])
+    def test_layers_are_the_anova_order_sums(self, kind):
+        rng = np.random.default_rng(3)
+        sp = _layer_space(kind, rng)
+        table = rng.normal(size=sp.config_count).reshape(sp.shape)
+        partial = sp.from_evaluator(lambda cfg: table[cfg], [1, 4, 5, 8])
+        for F in (sp.from_table(table), partial, sp.constant(2.5)):
+            layers = order_layers(sp, F)
+            dec = anova(sp, F)
+            # on the p = 0.2 base the middle layers reach about 18 times F's sup norm
+            scale = max(H.scale() for H in [F, *layers])
+            assert len(layers) == len(F.deps) + 1
+            for k, H in enumerate(layers):
+                assert (H - dec.order_sum(k)).sup_norm() <= 1e-14 * scale
+                assert H.deps == (F.deps if k else frozenset())
+                assert H.data.shape == tuple(
+                    n if a in H.deps else 1 for a, n in enumerate(sp.shape)
+                )
+            assert layers[0].data.item() == pytest.approx(expectation(sp, F), abs=1e-15)
+            total = sum(layers[1:], layers[0])
+            assert (total - F).sup_norm() <= 1e-14 * scale
+
+    def test_minus_layers_over_order_is_the_inverse(self):
+        sp = rademacher_space(12)
+        F = sp.from_table(np.random.default_rng(4).normal(size=sp.config_count))
+        F = F - expectation(sp, F)
+        layers = order_layers(sp, F)
+        inverse = sum((H * (-1.0 / k) for k, H in enumerate(layers) if k), sp.constant(0.0))
+        assert (inverse - invert_number_operator(sp, F)).sup_norm() <= 1e-14 * F.scale()
 
 
 class TestInverse:

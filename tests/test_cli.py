@@ -209,6 +209,22 @@ class TestOtherSubcommands:
         assert "Warning" not in err
 
 
+# every subcommand at a valid argv, so a negative seed is the only bad input
+SEEDED_ARGV = [
+    ["identities", "--trials", "1"],
+    ["semigroup", "--repeats", "1", "--trials", "2"],
+    ["clark", "--trials", "1"],
+    ["inequalities", "--trials", "1"],
+    ["hoeffding", "--n", "3"],
+    ["ewens", "--N", "3", "--trials", "2"],
+    ["stein-gaussian", "--n", "4"],
+    ["stein-gamma", "--n", "3"],
+    ["stein-homog", "--kernel", "kernel.csv"],
+    ["limits-poisson", "--functional", "capped", "--grid", "4", "--trials", "2"],
+    ["limits-walk", "--mode", "mc", "--grid", "8", "--trials", "2"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["stein-gamma", "--n", "1"],
     ["stein-gaussian", "--n", "0", "--mode", "mc"],
@@ -216,8 +232,9 @@ class TestOtherSubcommands:
     ["ewens", "--N", "4", "--trials", "1"],
     ["limits-walk", "--mode", "mc", "--grid", "8", "--trials", "1"],
     ["limits-poisson", "--functional", "capped", "--grid", "4", "--trials", "1"],
-], ids=["stein-gamma-n1", "stein-gaussian-n0", "semigroup", "ewens", "limits-walk",
-        "limits-poisson"])
+] + [argv + ["--seed", "-1"] for argv in SEEDED_ARGV],
+    ids=["stein-gamma-n1", "stein-gaussian-n0", "semigroup", "ewens", "limits-walk",
+         "limits-poisson"] + [f"{argv[0]}-negative-seed" for argv in SEEDED_ARGV])
 def test_bad_input_is_an_error_message(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
@@ -225,6 +242,25 @@ def test_bad_input_is_an_error_message(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Warning" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["stein-homog", "--m4", "nan"], "fourth moment must be finite, got nan"),
+    (["stein-homog", "--m4", "inf"], "fourth moment must be finite, got inf"),
+    (["stein-gamma", "--r", "inf"], "r=inf"),
+    (["stein-gamma", "--lambda", "inf"], "lam=inf"),
+    (["ewens", "--N", "3", "--t", "inf", "--enum"], "t must be finite and > 0, got inf"),
+], ids=["m4-nan", "m4-inf", "r-inf", "lambda-inf", "ewens-t-inf"])
+def test_non_finite_parameters_are_refused(capsys, tmp_path, argv, named):
+    """A NaN or infinite parameter would reach the report as a token JSON does not allow."""
+    kernel = tmp_path / "kernel.csv"
+    kernel.write_text("0,0.5,0.5\n0.5,0,0.5\n0.5,0.5,0\n")
+    if argv[0] == "stein-homog":
+        argv = argv + ["--kernel", str(kernel)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dmc import calculus, decompose, inequalities, stein, space as space_module
-from dmc.calculus import anova, gradient, mix
+from dmc.calculus import anova, gradient, mix, order_layers
 from dmc.decompose import clark, clark_reverse, clark_symmetric
 from dmc.ewens import EwensModel, _indicator_eq, _indicator_ne, fixed_point_count
 from dmc.space import Functional, ProductSpace, rademacher_space
@@ -62,6 +62,8 @@ def _outputs(sp, F):
         out["gradient", a] = G
     for S, G in anova(sp, F).components.items():
         out["anova", S] = G
+    for k, H in enumerate(order_layers(sp, F)):
+        out["order_layers", k] = H
     reports = {
         "clark": clark(sp, F, _order(sp)),
         "clark_reverse": clark_reverse(sp, F, _order(sp)),

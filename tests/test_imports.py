@@ -1,7 +1,8 @@
 """Every module-level import in `src/dmc`, `tests` and `scripts` is read by
 its module, every module-level definition is named somewhere, `import
-dmc.cli` loads neither scipy nor yaml, and the dense-route tests patch
-`_average` in every module of `src/dmc` that binds it.
+dmc.cli` loads neither scipy nor yaml, the dense-route tests patch
+`_average` in every module of `src/dmc` that binds it, and no module of
+`src/dmc` but `calculus` names `anova`.
 
 No linter ships with the project, so this parses each module with `ast`.
 `from __future__` imports, the re-exports of `__init__.py` and import
@@ -83,19 +84,29 @@ def module_definitions(tree):
             yield node.target.id, node.lineno
 
 
+def names_read(path):
+    """Every name read, imported or reached as an attribute in one Python file."""
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    return named
+
+
 def names_in_use():
     """Every name read, imported or reached as an attribute in the project's Python files."""
-    named = set()
-    for folder in ("src", "tests", "scripts", "perfbench"):
-        for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    named.update(alias.name for alias in node.names)
-    return named
+    folders = ("src", "tests", "scripts", "perfbench")
+    return set().union(*(names_read(path) for f in folders for path in (ROOT / f).rglob("*.py")))
+
+
+def test_only_calculus_names_anova():
+    """The 2^n subset tree of `anova` stays in `calculus`; order sums come from `order_layers`."""
+    naming = [path.name for path in MODULES if path.stem != "calculus" and "anova" in names_read(path)]
+    assert not naming, f"modules that name anova: {', '.join(naming)}"
 
 
 def test_every_definition_is_named():
