@@ -136,8 +136,8 @@ def ewens_pmf(sigma: tuple, t: float) -> float:
 
     Equals t^{cyc(sigma) - 1} / ((t+1)...(t+N-1)).
     """
-    if not t > 0:
-        raise BadParameters(f"t must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise BadParameters(f"t must be finite and > 0, got {t}")
     i = gamma_inverse(sigma)
     out = 1.0
     for k, ik in enumerate(i, start=1):

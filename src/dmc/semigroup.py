@@ -94,28 +94,27 @@ def simulate_terminal(
 
     Batched version of `simulate` keeping only the time-t state: draws the
     jump counts, coordinate choices and resampled outcomes for all
-    replications at once.
+    replications at once.  The jumps are stored path by path, so the hits of
+    coordinate `a`, in draw order, fall into runs of one path each, and the
+    last entry of a run is that path's last resample of `a`: only it is
+    written.  Besides the `(size, n)` result it holds the per-path end
+    offsets and the coordinate of every jump, and the hits of one coordinate
+    at a time.
     """
     if t < 0:
         raise NegativeTime(f"negative time {t}")
     n = space.n
-    counts = rng.poisson(n * t, size=size)
-    total = int(counts.sum())
-    coords_hit = rng.integers(n, size=total)
+    ends = rng.poisson(n * t, size=size)
+    np.cumsum(ends, out=ends)
+    coords_hit = rng.integers(n, size=int(ends[-1]) if size else 0)
     out = np.tile(np.asarray(x0, dtype=np.int64), (size, 1))
-    resampled = np.empty(total, dtype=np.int64)
     for a in range(n):
-        mask = coords_hit == a
-        if mask.any():
-            resampled[mask] = rng.choice(
-                space.coords[a].size, size=int(mask.sum()), p=space.coords[a].pmf
-            )
-    # jumps within one trajectory are exchangeable given the count, so the
-    # last resample of each (path, coordinate) cell can be read off in draw
-    # order: the first hit of each cell in the reversed sequence
-    cells = np.repeat(np.arange(size), counts) * n + coords_hit
-    hit, first_from_end = np.unique(cells[::-1], return_index=True)
-    out.reshape(-1)[hit] = resampled[total - 1 - first_from_end]
+        at = np.flatnonzero(coords_hit == a)
+        if at.size:
+            draws = rng.choice(space.coords[a].size, size=at.size, p=space.coords[a].pmf)
+            path = np.searchsorted(ends, at, side="right")
+            last = np.append(path[1:] != path[:-1], True)
+            out[path[last], a] = draws[last]
     return out
 
 

@@ -144,15 +144,20 @@ class ProductSpace:
         coordinate, 0 outside `deps`) to a real; it must only look at
         coordinates in `deps`.
         """
+        F = self.zeros(deps)
+        table = F.data
+        for idx in np.ndindex(*table.shape):
+            table[idx] = fn(idx)
+        return F
+
+    def zeros(self, deps: Iterable[int]) -> "Functional":
+        """The zero functional stored on the grid of `deps`, to be filled in place."""
         deps = frozenset(deps)
         for a in deps:
             self.check_axis(a)
         compact = tuple(k if a in deps else 1 for a, k in enumerate(self.shape))
         self.require_exact(prod(compact))
-        table = np.empty(compact)
-        for idx in np.ndindex(*compact):
-            table[idx] = fn(idx)
-        return Functional(self, table, deps=deps)
+        return Functional(self, np.zeros(compact), deps=deps)
 
     def constant(self, c: float) -> "Functional":
         return Functional(self, np.full((1,) * self.n, float(c)), deps=frozenset())

@@ -100,12 +100,16 @@ def _require_iid(space: ProductSpace, n: int) -> Coordinate:
     return base
 
 
-def _subset_sum(space: ProductSpace, table: np.ndarray, n: int) -> Functional:
-    """sum over k-subsets B of the first n coordinates of the k-dim table placed on X_B."""
-    out = space.constant(0.0)
+def _subset_sum(space: ProductSpace, table: np.ndarray, n: int, scale: float) -> Functional:
+    """scale * sum over k-subsets B of the first n coordinates of the k-dim table on X_B.
+
+    The placed tables are added in place, in subset order, into one table
+    on the first n coordinates, which is then scaled in place.
+    """
+    out = space.zeros(range(n))
     for B in combinations(range(n), table.ndim):
-        shape = [space.shape[a] if a in B else 1 for a in range(space.n)]
-        out = out + Functional(space, table.reshape(shape), deps=frozenset(B))
+        out.data += table.reshape([space.shape[a] if a in B else 1 for a in range(space.n)])
+    out.data *= scale
     return out
 
 
@@ -115,7 +119,7 @@ def u_statistic(space: ProductSpace, h: SymmetricKernel, n: int) -> Functional:
     if n < m:
         raise ArityError(f"need n >= m, got n={n} < m={m}")
     base = _require_iid(space, n)
-    return _subset_sum(space, h.table(base), n) * (1.0 / comb(n, m))
+    return _subset_sum(space, h.table(base), n, 1.0 / comb(n, m))
 
 
 def hoeffding_kernels(h: SymmetricKernel, base: Coordinate) -> HoeffdingKernels:
@@ -159,7 +163,7 @@ def hoeffding_decompose(space: ProductSpace, h: SymmetricKernel, n: int) -> Hoef
     kernels = hoeffding_kernels(h, base)
     U = u_statistic(space, h, n)
     layers = [
-        _subset_sum(space, g, n) * (comb(m, k) / comb(n, k))
+        _subset_sum(space, g, n, comb(m, k) / comb(n, k))
         for k, g in enumerate(kernels.degenerate, start=1)
     ]
     recon = space.constant(kernels.theta)
@@ -202,7 +206,7 @@ def symmetric_clark_groups(space: ProductSpace, h: SymmetricKernel, n: int) -> l
         # sum_{b in B} D_b h_k(X_B) places one table, sum_j (h_k - E_j h_k) = -L h_k
         sp = iid_space(base, k)
         table = -number_operator(sp, sp.from_table(hk))
-        groups.append(_subset_sum(space, table.data, n) * (1.0 / (k * comb(n, k))))
+        groups.append(_subset_sum(space, table.data, n, 1.0 / (k * comb(n, k))))
     return groups
 
 

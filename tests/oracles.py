@@ -10,6 +10,9 @@ They are exact but exponential in n, so the tests call them at n <= 8 only.
 `jump_kernel_matrix` is the dense m x m one-jump kernel behind the operator
 form of `check_stationarity`, for tiny m only, and `loop_simulate_terminal`
 is the per-jump loop that `simulate_terminal` vectorises.
+`unique_simulate_terminal` reads each path's last jumps by sorting a cell
+index per jump with `np.unique`, the route that the run ends of
+`simulate_terminal` replaced.
 
 `weight_table` is the full-grid product law that expectations no longer
 need, and `sliced_weighted_sum` is the expectation route that read it: the
@@ -79,11 +82,17 @@ sum a `Functional` and all 2n gradients held to the end, the route that
 `stein._stein_terms` replaced by adding each coordinate's share in place.
 `summed_fixed_point_count` adds the list of the U~_k into a new table per
 partial sum, the route that the suffix sums of `fixed_point_count` replaced.
+`allocating_subset_sum` places a kernel table on each k-subset with a new
+table per partial sum, the route that `ustat._subset_sum` replaced by adding
+into one table in place.
+
+`traced_peak` is the tracemalloc measure that the memory tests share.
 """
 
 from functools import reduce
 from itertools import combinations
 from math import comb, factorial, prod, sqrt
+import tracemalloc
 
 import numpy as np
 from scipy.stats import poisson
@@ -222,6 +231,26 @@ def loop_simulate_terminal(space, x0, t, rng, size):
     for i in range(size):
         for j in range(offsets[i], offsets[i + 1]):
             out[i, coords_hit[j]] = resampled[j]
+    return out
+
+
+def unique_simulate_terminal(space, x0, t, rng, size):
+    """`simulate_terminal` reading the last jumps from `np.unique` of a cell per jump."""
+    n = space.n
+    counts = rng.poisson(n * t, size=size)
+    total = int(counts.sum())
+    coords_hit = rng.integers(n, size=total)
+    out = np.tile(np.asarray(x0, dtype=np.int64), (size, 1))
+    resampled = np.empty(total, dtype=np.int64)
+    for a in range(n):
+        mask = coords_hit == a
+        if mask.any():
+            resampled[mask] = rng.choice(
+                space.coords[a].size, size=int(mask.sum()), p=space.coords[a].pmf
+            )
+    cells = np.repeat(np.arange(size), counts) * n + coords_hit
+    hit, first_from_end = np.unique(cells[::-1], return_index=True)
+    out.reshape(-1)[hit] = resampled[total - 1 - first_from_end]
     return out
 
 
@@ -686,3 +715,24 @@ def summed_fixed_point_count(model):
     for U in fixed_point_field(model):
         out = out + U
     return out
+
+
+def allocating_subset_sum(space, table, n):
+    """`ustat._subset_sum` with a new table for every partial sum."""
+    out = space.constant(0.0)
+    for B in combinations(range(n), table.ndim):
+        shape = [space.shape[a] if a in B else 1 for a in range(space.n)]
+        out = out + Functional(space, table.reshape(shape), deps=frozenset(B))
+    return out
+
+
+def traced_peak(call):
+    """Bytes that one `call()` holds at its peak under tracemalloc, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,6 @@ The spaces cover every product form of the kernel: the first stored axis
 (pre = 1), the last (post = 1) and the axes between (one einsum pass).
 """
 
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +26,7 @@ from .oracles import (
     take_resample_integral,
     tensordot_hoeffding_kernels,
     tensordot_integrate_out,
+    traced_peak,
 )
 
 REL = 1e-15
@@ -128,13 +128,6 @@ def test_middle_axis_holds_half_the_table():
     sp = rademacher_space(16)
     F = sp.from_table(np.random.default_rng(0).normal(size=sp.config_count))
     for axis in (8, 14):  # a long-row and a short-row middle axis
-        integrate_out(sp, F, [axis])
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            integrate_out(sp, F, [axis])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: integrate_out(sp, F, [axis]))
         # the averaged table is half of F; no copy of F and no temporary is made
         assert peak <= 0.55 * F.data.nbytes, axis

@@ -92,6 +92,12 @@ class TestLaw:
         for s in permutations(range(1, 5)):
             assert abs(ewens_pmf(s, 1.0) - 1.0 / 24.0) <= TOL
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("inf"), float("nan")])
+    def test_pmf_refuses_a_bad_t(self, t):
+        # at t = inf the coordinate product is inf / inf, which read nan
+        with pytest.raises(BadParameters, match="finite"):
+            ewens_pmf((1, 2, 3), t)
+
     def test_feller_coupling_same_law(self):
         # insertion coupling and transposition product induce the same
         # push-forward measure, though not the same map

@@ -6,7 +6,6 @@ through the full-grid weight table, and on a functional of 3 of 40
 coordinates, whose grid (2^40) no route through that table could hold.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from dmc.decompose import clark, covariance_identity, poincare
 from dmc.inequalities import exact_tail
 from dmc.space import expectation, rademacher_space, variance
 
-from .oracles import sliced_weighted_sum
+from .oracles import sliced_weighted_sum, traced_peak
 from .test_drop_routes import KINDS, _functionals, _space
 
 REL = 1e-15
@@ -66,14 +65,7 @@ def test_three_of_forty_coordinates():
 def test_expectation_of_a_full_table_holds_three_quarters_of_it():
     sp = rademacher_space(16)
     F = sp.from_table(np.random.default_rng(0).normal(size=sp.config_count))
-    expectation(sp, F)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        expectation(sp, F)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: expectation(sp, F))
     # the first two averages (1/2 and 1/4 of the table) are alive at once;
     # 4 KiB covers the array headers
     assert peak <= 0.75 * F.data.nbytes + 4096

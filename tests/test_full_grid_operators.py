@@ -9,7 +9,6 @@ in `oracles`, on every input it could alias, and against a tracemalloc
 budget on a full fair table.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from .oracles import (
     in_order_residual,
     new_table_residual,
     squared_difference_variance,
+    traced_peak,
 )
 from .test_quadrature_routes import _mixed_space
 
@@ -202,15 +202,7 @@ def test_operators_never_write_their_input():
 
 
 def _peak_in_tables(call, F):
-    call()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return (peak - 4096) / F.data.nbytes  # 4 KiB covers the array headers
+    return (traced_peak(call) - 4096) / F.data.nbytes  # 4 KiB covers the array headers
 
 
 # peaks on a full fair n = 16 table, in tables; the replaced routes read
@@ -271,12 +263,7 @@ def test_walk_form_allocates_no_second_step_table():
     trials = 20000
     for N in (8, 256):
         F, scheme = time_integral_functional(), WalkScheme(N)
-        walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: walk_form(F, scheme, rng=np.random.default_rng(7), trials=trials)
+        )
         assert peak <= 2.5 * 2**20

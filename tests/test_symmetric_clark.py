@@ -7,7 +7,6 @@ rows to the Shapley effects of the subset formula; and the report must
 agree with the subset-term report it replaced (`oracles`).
 """
 
-import tracemalloc
 from itertools import combinations
 from math import factorial
 
@@ -17,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from dmc.decompose import clark_symmetric, symmetric_coordinate_term
 from dmc.space import conditional_on, rademacher_space, variance
-from .oracles import drop_tree_clark_symmetric, subset_clark_symmetric_terms
+from .oracles import drop_tree_clark_symmetric, subset_clark_symmetric_terms, traced_peak
 from .test_drop_routes import KINDS, _functionals, _space
 from .test_quadrature_routes import _mixed_space
 
@@ -122,14 +121,7 @@ def test_constant_single_coordinate_and_ignored_coordinate():
 def test_holds_the_coordinate_terms_and_a_few_tables():
     sp = rademacher_space(12)
     F = sp.from_table(np.random.default_rng(0).normal(size=sp.config_count))
-    clark_symmetric(sp, F)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        clark_symmetric(sp, F)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: clark_symmetric(sp, F))
     # 12 terms and the recursion's few tables, the Gram's weight table and row
     # buffer among them: measured 17.7 tables, where the subset route peaked
     # at 296 MiB (about 9,000)

@@ -1,4 +1,4 @@
-import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,10 +12,12 @@ from dmc.ustat import (
     hoeffding_decompose,
     hoeffding_kernels,
     hoeffding_via_projections,
+    _subset_sum,
     symmetric_clark_groups,
     u_statistic,
 )
 from dmc.calculus import number_operator
+from .oracles import allocating_subset_sum, traced_peak
 
 TOL = 1e-12
 
@@ -88,6 +90,29 @@ class TestUStatistic:
         with pytest.raises(ArityError):
             u_statistic(sp, PROD, 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_subset_sum_matches_the_allocating_route(self, k, n):
+        sp = iid_space(SKEWED, 6)  # one coordinate past n at n = 5
+        table = np.random.default_rng(k).normal(size=(3,) * k)
+        table.flat[0], table.flat[-1] = -0.0, np.nan
+        scale = 1.0 / comb(n, k)
+        got = _subset_sum(sp, table, n, scale)
+        want = allocating_subset_sum(sp, table, n) * scale
+        assert got.deps == want.deps == frozenset(range(n))
+        assert got.data.shape == want.data.shape
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "h", [PROD, SymmetricKernel(3, lambda x, y, z: x * y * z + x + y + z)]
+    )
+    def test_u_statistic_holds_one_table(self, h):
+        sp = iid_space(SKEWED, 12)
+        table_bytes = u_statistic(sp, h, 12).data.nbytes
+        # the sum is added and scaled in place; a new table per k-subset
+        # peaked at 2 tables
+        assert traced_peak(lambda: u_statistic(sp, h, 12)) <= 1.1 * table_bytes
+
 
 class TestRecursiveKernels:
     def test_product_kernel_fully_degenerate(self):
@@ -150,14 +175,7 @@ class TestDecomposition:
         n = 11
         sp = iid_space(SKEWED, n)
         table_bytes = u_statistic(sp, h, n).data.nbytes
-        hoeffding_via_projections(sp, h, n)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            hoeffding_via_projections(sp, h, n)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: hoeffding_via_projections(sp, h, n))
         # U, its n + 1 order layers and two averages: measured 12.7 tables,
         # where the sums over the ANOVA subset tree peaked at 43.9
         assert peak / table_bytes <= n + 3
