@@ -26,6 +26,7 @@ from .calculus import (
     check_weitzenbock,
     divergence,
     gradient,
+    order_layers,
 )
 from .decompose import (
     clark,
@@ -58,7 +59,7 @@ from .semigroup import (
     resolvent,
     simulate_terminal,
 )
-from .space import rademacher_space
+from .space import Coordinate, iid_space, rademacher_coordinate, rademacher_space
 from .stein import (
     KernelMatrix,
     fourth_moment_check,
@@ -68,11 +69,7 @@ from .stein import (
     homogeneous_gamma_bound,
     lyapounov_bound,
 )
-from .ustat import (
-    SymmetricKernel,
-    hoeffding_decompose,
-    hoeffding_via_projections,
-)
+from .ustat import SymmetricKernel, hoeffding_decompose
 
 SCHEMA = 1
 
@@ -314,12 +311,6 @@ def run_inequalities(args) -> dict:
 
 
 def run_hoeffding(args) -> dict:
-    from .space import Coordinate, iid_space
-
-    fair = Coordinate(
-        id="x", labels=("-1", "+1"), pmf=np.array([0.5, 0.5]),
-        embedding=np.array([-1.0, 1.0]),
-    )
     skewed = Coordinate(
         id="s", labels=("a", "b", "c"), pmf=np.array([1 / 3, 1 / 2, 1 / 6]),
         embedding=np.array([-1.0, 0.0, 2.0]),
@@ -330,11 +321,11 @@ def run_hoeffding(args) -> dict:
         "m3_product": SymmetricKernel(3, lambda x, y, z: x * y * z),
     }
     results = {}
-    for base_name, base in (("fair", fair), ("skewed", skewed)):
+    for base_name, base in (("fair", rademacher_coordinate()), ("skewed", skewed)):
         sp = iid_space(base, args.n)
         for kname, h in kernels.items():
             rep = hoeffding_decompose(sp, h, args.n)
-            proj = hoeffding_via_projections(sp, h, args.n)
+            proj = order_layers(sp, rep.statistic)[1 : h.arity + 1]
             layer_gap = max(
                 (L - P).sup_norm() for L, P in zip(rep.layers, proj)
             )
@@ -351,21 +342,19 @@ def run_hoeffding(args) -> dict:
 def run_ewens(args) -> dict:
     if args.trials == 1:
         raise BadParameters("the Monte-Carlo variance needs --trials >= 2")
+    if not args.enum and args.trials <= 0:
+        raise BadParameters("ewens needs --enum and/or --trials > 0")
+    model = EwensModel(args.N, args.t)
     results = {"N": args.N, "t": args.t}
     if args.enum:
-        model = EwensModel(args.N, args.t)
         results.update(asdict(c1_stats(model)))
     if args.trials > 0:
-        rng = np.random.default_rng(args.seed)
-        model = EwensModel(args.N, args.t)
-        counts = mc_fixed_point_counts(model, rng, args.trials)
+        counts = mc_fixed_point_counts(model, np.random.default_rng(args.seed), args.trials)
         results["mc"] = {
             "trials": args.trials,
             "mean": float(counts.mean()),
             "var": float(counts.var(ddof=1)),
         }
-    if not args.enum and args.trials <= 0:
-        raise BadParameters("ewens needs --enum and/or --trials > 0")
     return results
 
 

@@ -163,11 +163,7 @@ def ewens_pmf_printed(sigma: tuple, t: float) -> float:
 
 def sample_indices(model: EwensModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """iid index matrices, shape (size, N), entries are 1-based values."""
-    cols = []
-    for k in range(1, model.N + 1):
-        pmf = model.space.coords[k - 1].pmf
-        cols.append(rng.choice(k, size=size, p=pmf) + 1)
-    return np.stack(cols, axis=1)
+    return model.space.sample_configs(rng, size) + 1
 
 
 def sample(model: EwensModel, rng: np.random.Generator) -> tuple:

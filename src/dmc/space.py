@@ -1,12 +1,17 @@
 """Finite product probability spaces and functionals on them.
 
-A space is an ordered family of finitely supported coordinates.  Functionals
-are real random variables, either tabulated over the configuration grid
-(exact mode) or black-box evaluators with a declared dependency set
-(Monte-Carlo mode).  A tabulated functional is stored compactly: its array
-has the full length on the coordinates it depends on and length 1 on every
-other axis, so a conditional expectation E[F | X_S] holds only the X_S grid.
-`Functional.values` is the read-only dense view over the whole grid.
+A space is an ordered family of finitely supported coordinates.  A
+`Functional` is a real random variable, always tabulated over the
+configuration grid and stored compactly: its array has the full length on
+the coordinates it depends on and length 1 on every other axis, so a
+conditional expectation E[F | X_S] holds only the X_S grid.
+`Functional.values` is the read-only dense view over the whole grid.  A
+black-box evaluator is a plain callable on configurations, which
+`from_evaluator` tabulates over its declared dependencies and which
+`expectation_mc` and `check_declared_dependencies` call on sampled
+configurations.  `ProductSpace` is the only code that turns a per-point rule
+into a table (`from_evaluator`) or draws a space's configurations
+(`sample_configs`).
 Everything downstream (gradient, divergence, semigroup, Clark
 decompositions, ...) is built from one operation, the one-coordinate average
 E_a.  `_average` is its only implementation: `integrate_out` and the

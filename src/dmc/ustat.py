@@ -27,7 +27,7 @@ from .space import (
     Coordinate, Functional, ProductSpace, conditional_drop, expectation, iid_space, variance
 )
 from .calculus import gradient_component, number_operator, order_layers
-from .decompose import _gram, clark_symmetric
+from .decompose import DecompositionReport, _gram, clark_symmetric
 
 DEGENERACY_TOL = 1e-12
 
@@ -51,14 +51,16 @@ class SymmetricKernel:
                 raise BadKernel("kernel is not symmetric in its arguments")
 
     def table(self, base: Coordinate) -> np.ndarray:
-        """Dense evaluation over the m-fold outcome grid of `base`."""
-        if base.embedding is None:
+        """Dense evaluation over the m-fold outcome grid of `base`.
+
+        `ProductSpace.from_evaluator` on m copies of `base` fills the table,
+        so a grid past the exact-mode ceiling is refused before `fn` runs.
+        """
+        emb = base.embedding
+        if emb is None:
             raise BadKernel("kernel evaluation needs a real embedding")
-        s = base.size
-        out = np.empty((s,) * self.arity)
-        for idx in np.ndindex(*out.shape):
-            out[idx] = self.fn(*(base.embedding[i] for i in idx))
-        return out
+        sp = iid_space(base, self.arity)
+        return sp.from_evaluator(lambda idx: self.fn(*emb[list(idx)]), range(self.arity)).data
 
 
 @dataclass
@@ -70,16 +72,21 @@ class HoeffdingKernels:
 
 @dataclass
 class HoeffdingReport:
+    """U_n = theta + sum_k H^(k), with the Gram of the layers.
+
+    `statistic` is U_n itself, summed from the kernel table the layers
+    were built from, so a caller can take other views of it (such as
+    `order_layers`) without tabulating the kernel again.
+    """
+
     theta: float
+    statistic: Functional  # U_n
     layers: list  # Functionals H^(1) .. H^(m)
     residual: float
     gram: np.ndarray
     variance_pair: tuple
 
-    @property
-    def max_off_diagonal(self) -> float:
-        off = self.gram - np.diag(np.diag(self.gram))
-        return float(np.max(np.abs(off))) if off.size else 0.0
+    max_off_diagonal = DecompositionReport.max_off_diagonal
 
 
 def _require_iid(space: ProductSpace, n: int) -> Coordinate:
@@ -161,7 +168,7 @@ def hoeffding_decompose(space: ProductSpace, h: SymmetricKernel, n: int) -> Hoef
         raise ArityError(f"need n >= m, got n={n} < m={m}")
     base = _require_iid(space, n)
     kernels = hoeffding_kernels(h, base)
-    U = u_statistic(space, h, n)
+    U = _subset_sum(space, kernels.conditional_means[-1], n, 1.0 / comb(n, m))
     layers = [
         _subset_sum(space, g, n, comb(m, k) / comb(n, k))
         for k, g in enumerate(kernels.degenerate, start=1)
@@ -174,6 +181,7 @@ def hoeffding_decompose(space: ProductSpace, h: SymmetricKernel, n: int) -> Hoef
     var_pair = (variance(space, U), float(np.trace(gram)))
     return HoeffdingReport(
         theta=kernels.theta,
+        statistic=U,
         layers=layers,
         residual=residual,
         gram=gram,

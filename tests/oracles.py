@@ -86,6 +86,12 @@ partial sum, the route that the suffix sums of `fixed_point_count` replaced.
 table per partial sum, the route that `ustat._subset_sum` replaced by adding
 into one table in place.
 
+`ndindex_kernel_table` evaluates a symmetric kernel at every point of its
+m-fold grid by its own `np.ndindex` loop, and `column_sample_indices` draws
+the Ewens index matrix one `rng.choice` column at a time: the routes that
+`SymmetricKernel.table` and `ewens.sample_indices` replaced by
+`ProductSpace.from_evaluator` and `ProductSpace.sample_configs`.
+
 `traced_peak` is the tracemalloc measure that the memory tests share.
 """
 
@@ -724,6 +730,23 @@ def allocating_subset_sum(space, table, n):
         shape = [space.shape[a] if a in B else 1 for a in range(space.n)]
         out = out + Functional(space, table.reshape(shape), deps=frozenset(B))
     return out
+
+
+def ndindex_kernel_table(h, base):
+    """h on the m-fold outcome grid of `base`, one `np.ndindex` point at a time."""
+    out = np.empty((base.size,) * h.arity)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = h.fn(*(base.embedding[i] for i in idx))
+    return out
+
+
+def column_sample_indices(model, rng, size):
+    """iid Ewens index matrices, shape (size, N), drawn column by column, 1-based."""
+    cols = []
+    for k in range(1, model.N + 1):
+        pmf = model.space.coords[k - 1].pmf
+        cols.append(rng.choice(k, size=size, p=pmf) + 1)
+    return np.stack(cols, axis=1)
 
 
 def traced_peak(call):

@@ -21,12 +21,13 @@ from dmc.ewens import (
     gamma_map,
     mc_fixed_point_counts,
     sample,
+    sample_indices,
     u_k_blocks,
     variance_printed,
 )
 from dmc.space import expectation
 
-from .oracles import summed_fixed_point_count, weight_table
+from .oracles import column_sample_indices, summed_fixed_point_count, weight_table
 from .test_full_grid_operators import _peak_in_tables, _same
 
 TOL = 1e-12
@@ -257,3 +258,14 @@ def test_fixed_point_count_holds_about_two_tables():
     model = EwensModel(9, 1.7)
     C1 = fixed_point_count(model)
     assert _peak_in_tables(lambda: fixed_point_count(model), C1) <= 2.2
+
+
+@pytest.mark.parametrize("size", [0, 1, 1000])
+@pytest.mark.parametrize("N", [1, 2, 5, 10])
+def test_sample_indices_draw_as_the_column_route(N, size):
+    model = EwensModel(N, 1.3)
+    rng, oracle_rng = np.random.default_rng(N * size + 3), np.random.default_rng(N * size + 3)
+    got, want = sample_indices(model, rng, size), column_sample_indices(model, oracle_rng, size)
+    assert got.dtype == want.dtype and got.shape == want.shape == (size, N)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -1,8 +1,9 @@
 """Every module-level import in `src/dmc`, `tests` and `scripts` is read by
 its module, every module-level definition is named somewhere, `import
 dmc.cli` loads neither scipy nor yaml, the dense-route tests patch
-`_average` in every module of `src/dmc` that binds it, and no module of
-`src/dmc` but `calculus` names `anova`.
+`_average` in every module of `src/dmc` that binds it, no module of
+`src/dmc` but `calculus` names `anova`, and no module of `src/dmc` but
+`space` calls `np.ndindex`.
 
 No linter ships with the project, so this parses each module with `ast`.
 `from __future__` imports, the re-exports of `__init__.py` and import
@@ -107,6 +108,12 @@ def test_only_calculus_names_anova():
     """The 2^n subset tree of `anova` stays in `calculus`; order sums come from `order_layers`."""
     naming = [path.name for path in MODULES if path.stem != "calculus" and "anova" in names_read(path)]
     assert not naming, f"modules that name anova: {', '.join(naming)}"
+
+
+def test_only_space_calls_ndindex():
+    """Per-point tables come from `ProductSpace.from_evaluator`, which checks the ceiling first."""
+    naming = [path.name for path in MODULES if path.stem != "space" and "ndindex" in names_read(path)]
+    assert not naming, f"modules that call np.ndindex: {', '.join(naming)}"
 
 
 def test_every_definition_is_named():

@@ -3,8 +3,10 @@ from math import comb
 import numpy as np
 import pytest
 
-from dmc.errors import ArityError, BadKernel, NotIID
-from dmc.space import Coordinate, build_space, iid_space, rademacher_space
+from dmc import ustat
+from dmc.cli import main
+from dmc.errors import ArityError, BadKernel, ExactModeOverflow, NotIID
+from dmc.space import Coordinate, build_space, iid_space, rademacher_coordinate, rademacher_space
 from dmc.ustat import (
     SymmetricKernel,
     check_total_against_symmetric_clark,
@@ -17,7 +19,7 @@ from dmc.ustat import (
     u_statistic,
 )
 from dmc.calculus import number_operator
-from .oracles import allocating_subset_sum, traced_peak
+from .oracles import allocating_subset_sum, ndindex_kernel_table, traced_peak
 
 TOL = 1e-12
 
@@ -31,6 +33,11 @@ SKEWED = Coordinate(
     labels=("a", "b", "c"),
     pmf=np.array([1 / 3, 1 / 2, 1 / 6]),
     embedding=np.array([-1.0, 0.0, 2.0]),
+)
+
+QUAD = Coordinate(
+    id="q", labels=("a", "b", "c", "d"), pmf=np.array([0.1, 0.2, 0.3, 0.4]),
+    embedding=np.array([-1.5, -0.25, 0.5, 3.0]),
 )
 
 PROD = SymmetricKernel(2, lambda x, y: x * y)
@@ -232,3 +239,63 @@ class TestSymmetricClarkLink:
         assert (groups[0] - sum_x * (1.0 / 3.0)).sup_norm() <= TOL
         assert (groups[1] - sum_x * (1.0 / 3.0)).sup_norm() <= TOL
         assert (groups[0] - rep.layers[0]).sup_norm() > 0.1
+
+
+def _random_kernel(m, seed):
+    c = np.random.default_rng(seed).normal(size=3)
+    return SymmetricKernel(m, lambda *xs: c[0] * sum(xs) + c[1] * np.prod(xs) + c[2] * max(xs) ** 2)
+
+
+class TestTabulationThroughSpace:
+    """The kernel table comes from `ProductSpace.from_evaluator`, once per decomposition."""
+
+    @pytest.mark.parametrize("base", [FAIR, SKEWED, QUAD], ids=["fair", "skewed", "quad"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_table_matches_the_ndindex_route(self, base, m):
+        kernels = [
+            _random_kernel(m, m),
+            SymmetricKernel(m, lambda *xs: -0.0),
+            SymmetricKernel(m, lambda *xs: np.nan if max(xs) > 0 else -sum(xs)),
+        ]
+        for h in kernels:
+            got, want = h.table(base), ndindex_kernel_table(h, base)
+            assert got.dtype == want.dtype and got.shape == want.shape == (base.size,) * m
+            assert got.tobytes() == want.tobytes()
+
+    def test_kernel_refused_before_its_first_call(self):
+        def fn(*xs):
+            raise AssertionError("the kernel ran on a grid past the ceiling")
+
+        h = SymmetricKernel(24, fn)  # 2^24 grid points, past the 10^7 ceiling
+        with pytest.raises(ExactModeOverflow):
+            h.table(rademacher_coordinate())
+        with pytest.raises(ExactModeOverflow):
+            u_statistic(rademacher_space(24), h, 24)
+
+    def test_decomposition_tabulates_the_kernel_once(self):
+        calls = []
+        h = SymmetricKernel(3, lambda x, y, z: calls.append(1) or x * y * z + x + y + z)
+        hoeffding_decompose(iid_space(SKEWED, 5), h, 5)
+        assert len(calls) == 27  # the 3^3 grid points, once
+
+    @pytest.mark.parametrize("base", [FAIR, SKEWED], ids=["fair", "skewed"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_statistic_is_the_u_statistic(self, base, m):
+        h = _random_kernel(m, 10 + m)
+        sp = iid_space(base, 5)
+        rep = hoeffding_decompose(sp, h, 5)
+        U = u_statistic(sp, h, 5)
+        assert rep.statistic.deps == U.deps
+        assert rep.statistic.data.tobytes() == U.data.tobytes()
+
+    def test_cli_case_builds_u_once(self, monkeypatch, tmp_path):
+        sums = []
+
+        def counted(*args):
+            sums.append(args)
+            return _subset_sum(*args)
+
+        monkeypatch.setattr(ustat, "_subset_sum", counted)
+        assert main(["hoeffding", "--n", "4", "--out", str(tmp_path / "h.json")]) == 0
+        # per base, U once and the m layers for m = 1, 2, 3: 2 + 3 + 4
+        assert len(sums) == 18
