@@ -59,7 +59,7 @@ def gradient_component(space: ProductSpace, F: Functional, a: int) -> Functional
     """D_a F = F - E[F | G_a]."""
     if a not in F.deps:
         return space.constant(0.0)
-    return F - conditional_drop(space, F, a)
+    return Functional(space, F.data - _average(space, F.data, (a,)), F.deps)
 
 
 def gradient(space: ProductSpace, F: Functional) -> CoordinateField:

@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import lru_cache
 from math import exp, sqrt
 
 import numpy as np
@@ -171,11 +172,21 @@ def run_identities(args) -> dict:
     return {"trials": args.trials, "max_residuals": worst}
 
 
+@lru_cache(maxsize=4)
+def _laguerre_nodes(count: int) -> tuple:
+    """(t, weight) of the `count` Gauss-Laguerre nodes on [0, inf).
+
+    Cached: `laggauss` solves an eigenproblem, dearer than a whole resolvent
+    check on a space of a few coordinates.
+    """
+    t, w = np.polynomial.laguerre.laggauss(count)
+    return tuple(zip(t.tolist(), w.tolist()))
+
+
 def _quadrature_resolvent(space, G, nodes=64):
-    t, w = np.polynomial.laguerre.laggauss(nodes)
     out = space.constant(0.0)
-    for ti, wi in zip(t, w):
-        out = out + mehler_apply(space, G, float(ti)) * float(wi)
+    for t, w in _laguerre_nodes(nodes):
+        out = out + mehler_apply(space, G, t) * w
     return out
 
 
@@ -550,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="8,16,32,64,128,256")
     p.add_argument("--functional", choices=("endpoint", "time-integral"),
                    default="time-integral")
-    p.add_argument("--inner", type=int, default=64)
+    p.add_argument("--inner", type=int, default=64,
+                   help="inner sample size of the Monte-Carlo route (>= 2)")
 
     return parser
 
@@ -584,6 +596,7 @@ def main(argv=None) -> int:
         _at_least(args, "seed", 0)
         _at_least(args, "trials", 0)
         _at_least(args, "repeats", 0)
+        _at_least(args, "inner", 2)
         if args.command in CSV_RUNNERS:
             rows = CSV_RUNNERS[args.command](args)
             emit(render_csv(rows), args.out)

@@ -11,8 +11,10 @@ Two approximating product structures and their limit forms:
 
 Exact fast paths are provided for linear functionals; everything else is
 Monte-Carlo with explicit RNG streams and reported standard errors.  The
-walk form's Monte-Carlo route draws its steps in blocks of WALK_BLOCK
-entries and keeps O(trials) vectors plus one block.
+walk form's Monte-Carlo route draws its steps into one reused buffer of
+WALK_BLOCK entries and keeps O(trials) vectors plus that buffer; the mean
+and sample variance of each trial's inner steps are drawn from their exact
+joint law, two variates per trial whatever the inner sample size.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import BadDensity, BadParameters, TruncationFailure
 
 DENSITY_GRID = 8192
-WALK_BLOCK = 2**16  # entries of one block of Monte-Carlo draws
+WALK_BLOCK = 2**16  # entries of one block of Monte-Carlo steps
 TRUNCATION_CAP = 400
 
 
@@ -360,9 +362,6 @@ class WalkScheme:
         if self.N < 1:
             raise BadParameters(f"need N >= 1, got {self.N}")
 
-    def sample_steps(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.normal(size=(size, self.N))
-
 
 def h_gram(N: int) -> np.ndarray:
     """Exact Gram matrix of the ramp family in H (identity by construction)."""
@@ -444,6 +443,12 @@ def walk_form(
     estimate sum_k c_k^2 s^2 / inner of that term, s^2 being the sample
     variance of the fresh steps, so `inner` must be at least 2, and so must
     `trials` for the standard error.
+
+    The fresh steps enter only through their mean and sample variance, and
+    for iid N(0, 1) steps these are independent with laws N(0, 1 / inner)
+    and chi^2_{inner-1} / (inner - 1) (Cochran's theorem).  So each trial
+    draws those two variates instead of `inner` steps: the estimate has the
+    same law, and its cost does not depend on `inner`.
     """
     c = np.asarray(F.coeffs(scheme.N), dtype=float)
     if trials <= 0 or rng is None:
@@ -455,26 +460,23 @@ def walk_form(
     # per_trial = sum_k c_k^2 (step_k - m)^2 - C v / inner = A - 2 m B + m^2 C
     # - C v / inner, with A = sum_k c_k^2 step_k^2, B = sum_k c_k^2 step_k,
     # C = sum_k c_k^2 and m, v the mean and sample variance of the fresh steps.
-    # The steps are drawn a block of rows at a time, then the fresh steps,
-    # so the draws come in the order of one (trials, N) and one (trials,
-    # inner) table.
+    # The steps fill one buffer a block of rows at a time, in the order of one
+    # (trials, N) table; then come the trials means, then the variances.
     c2 = c * c
     C = float(np.sum(c2))
     per_trial = np.empty(trials)  # A, then the estimate
     B = np.empty(trials)
-    rows = max(1, WALK_BLOCK // scheme.N)
+    rows = min(trials, max(1, WALK_BLOCK // scheme.N))
+    buffer = np.empty((rows, scheme.N))
     for lo in range(0, trials, rows):
-        steps = scheme.sample_steps(rng, min(rows, trials - lo))
-        hi = lo + steps.shape[0]
+        hi = min(lo + rows, trials)
+        steps = rng.standard_normal(out=buffer[: hi - lo])
         B[lo:hi] = np.einsum("tk,k->t", steps, c2)
         np.square(steps, out=steps)
         per_trial[lo:hi] = np.einsum("tk,k->t", steps, c2)
-    rows = max(1, WALK_BLOCK // inner)
-    for lo in range(0, trials, rows):
-        fresh = rng.normal(size=(min(rows, trials - lo), inner))
-        hi = lo + fresh.shape[0]
-        m = fresh.mean(axis=1)
-        per_trial[lo:hi] += m * (m * C - 2.0 * B[lo:hi]) - C * fresh.var(axis=1, ddof=1) / inner
+    m = rng.standard_normal(trials) / sqrt(inner)
+    v = rng.chisquare(inner - 1, trials) / (inner - 1)
+    per_trial += m * (m * C - 2.0 * B) - C * v / inner
     return FormReport(
         value=float(per_trial.mean()),
         se=float(per_trial.std(ddof=1) / sqrt(trials)),

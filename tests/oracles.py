@@ -65,7 +65,9 @@ replaced, each holding a table per coordinate or per term:
 row, the route that `decompose._gram` replaced by reading the terms in
 place, `in_order_residual` adds the Clark terms in report order, and
 `column_loop_walk_form` adds the Monte-Carlo walk form one step column at a
-time.
+time.  `fresh_steps_walk_form` is the walk form that averages a table of
+`inner` fresh steps per trial, the route that `walk_form` replaced by
+drawing the inner mean and sample variance from their exact law.
 
 `drop_tree_clark_symmetric` is the symmetric Clark report over the 2^n - 1
 subset terms, every E[F | X_B] taken from one drop tree, with the dense
@@ -91,6 +93,11 @@ m-fold grid by its own `np.ndindex` loop, and `column_sample_indices` draws
 the Ewens index matrix one `rng.choice` column at a time: the routes that
 `SymmetricKernel.table` and `ewens.sample_indices` replaced by
 `ProductSpace.from_evaluator` and `ProductSpace.sample_configs`.
+
+`drop_gradient_component` takes D_aF as F minus the `Functional` that
+`conditional_drop` returns, and `laggauss_quadrature_resolvent` solves the
+Gauss-Laguerre rule again on every call: the routes that `gradient_component`
+and the cached nodes of `cli._quadrature_resolvent` replaced.
 
 `traced_peak` is the tracemalloc measure that the memory tests share.
 """
@@ -118,6 +125,7 @@ from dmc.limits import (
     configuration_from_counts,
     sample_poisson_process,
 )
+from dmc.semigroup import mehler_apply
 from dmc.space import (
     Functional,
     conditional_drop,
@@ -627,20 +635,38 @@ def in_order_residual(space, F, terms):
     return (sum(terms, space.constant(expectation(space, F))) - F).sup_norm()
 
 
-def column_loop_walk_form(F, scheme, rng, trials, inner=64):
-    """Monte-Carlo walk form adding (c_k (step_k - inner mean))^2 column by column."""
-    c = np.asarray(F.coeffs(scheme.N), dtype=float)
-    steps = scheme.sample_steps(rng, trials)
-    fresh = rng.normal(size=(trials, inner))
-    inner_mean = fresh.mean(axis=1)
-    per_trial = -np.sum(c * c) * fresh.var(axis=1, ddof=1) / inner
-    for k in range(scheme.N):
+def _column_loop(c, steps, inner_mean, inner_var, inner):
+    """Per-trial walk estimates, adding (c_k (step_k - inner mean))^2 column by column."""
+    per_trial = -np.sum(c * c) * inner_var / inner
+    for k in range(steps.shape[1]):
         per_trial += (c[k] * (steps[:, k] - inner_mean)) ** 2
+    trials = steps.shape[0]
     return FormReport(
         value=float(per_trial.mean()),
         se=float(per_trial.std(ddof=1) / sqrt(trials)),
         exact=False,
     )
+
+
+def column_loop_walk_form(F, scheme, rng, trials, inner=64):
+    """Monte-Carlo walk form over one (trials, N) step table, column by column.
+
+    Draws the inner mean and sample variance from their exact law, in the
+    order `walk_form` draws them: the steps, the means, then the variances.
+    """
+    c = np.asarray(F.coeffs(scheme.N), dtype=float)
+    steps = rng.normal(size=(trials, scheme.N))
+    inner_mean = rng.standard_normal(trials) / sqrt(inner)
+    inner_var = rng.chisquare(inner - 1, trials) / (inner - 1)
+    return _column_loop(c, steps, inner_mean, inner_var, inner)
+
+
+def fresh_steps_walk_form(F, scheme, rng, trials, inner=64):
+    """Monte-Carlo walk form whose inner mean and variance come from a (trials, inner) table."""
+    c = np.asarray(F.coeffs(scheme.N), dtype=float)
+    steps = rng.normal(size=(trials, scheme.N))
+    fresh = rng.normal(size=(trials, inner))
+    return _column_loop(c, steps, fresh.mean(axis=1), fresh.var(axis=1, ddof=1), inner)
 
 
 def drop_tree_clark_symmetric(space, F):
@@ -747,6 +773,22 @@ def column_sample_indices(model, rng, size):
         pmf = model.space.coords[k - 1].pmf
         cols.append(rng.choice(k, size=size, p=pmf) + 1)
     return np.stack(cols, axis=1)
+
+
+def drop_gradient_component(space, F, a):
+    """D_a F = F - E[F | G_a], through `conditional_drop` and `Functional.__sub__`."""
+    if a not in F.deps:
+        return space.constant(0.0)
+    return F - conditional_drop(space, F, a)
+
+
+def laggauss_quadrature_resolvent(space, G, nodes=64):
+    """int_0^inf e^-t P_t G dt by a Gauss-Laguerre rule solved on every call."""
+    t, w = np.polynomial.laguerre.laggauss(nodes)
+    out = space.constant(0.0)
+    for ti, wi in zip(t, w):
+        out = out + mehler_apply(space, G, float(ti)) * float(wi)
+    return out
 
 
 def traced_peak(call):

@@ -276,6 +276,10 @@ def test_non_finite_parameters_are_refused(capsys, tmp_path, argv, named):
     ["ewens", "--N", "3", "--enum", "--trials", "-1"],
     ["limits-poisson", "--grid", "4", "--trials", "-1"],
     ["limits-walk", "--grid", "8", "--trials", "-1"],
+    ["limits-walk", "--grid", "8", "--inner", "1"],
+    ["limits-walk", "--grid", "8", "--inner", "0"],
+    ["limits-walk", "--grid", "8", "--inner", "-5"],
+    ["limits-walk", "--grid", "8", "--mode", "mc", "--trials", "10", "--inner", "1"],
 ])
 def test_count_options_that_check_nothing_are_refused(capsys, tmp_path, argv):
     out = tmp_path / "report"
@@ -283,6 +287,11 @@ def test_count_options_that_check_nothing_are_refused(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --") and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_inner_below_two_is_named_in_exact_mode(capsys):
+    assert main(["limits-walk", "--grid", "8", "--inner", "1"]) == 1
+    assert capsys.readouterr().err == "error: --inner must be >= 2, got 1\n"
 
 
 class TestCsvOutputs:

@@ -243,7 +243,8 @@ def test_walk_form_matches_the_column_loop(N, seed):
     _check_walk_form(N, seed, trials=400)
 
 
-# (N, trials, inner) past the edges of the draw blocks of WALK_BLOCK entries
+# (N, trials, inner) past the edges of the step blocks of WALK_BLOCK entries;
+# the inner mean and variance are two variates per trial at any `inner`
 WALK_BLOCK_CASES = {
     "trials-not-whole-blocks": (64, 2 * (WALK_BLOCK // 64) + 3, 64),
     "N-over-one-block": (WALK_BLOCK + 3, 3, 64),
@@ -258,8 +259,8 @@ def test_walk_form_blocks_match_the_column_loop(case):
 
 
 def test_walk_form_allocates_no_second_step_table():
-    # a (trials, N) step table is 39 MiB at N = 256 and a (trials, inner)
-    # fresh table 9.8 MiB; the blocks keep two trials vectors and one block
+    # a (trials, N) step table is 39 MiB at N = 256; the route keeps a few
+    # trials vectors and one reused block of steps
     trials = 20000
     for N in (8, 256):
         F, scheme = time_integral_functional(), WalkScheme(N)

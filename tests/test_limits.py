@@ -1,4 +1,5 @@
-from math import exp, lgamma, log, sqrt
+from math import exp, hypot, lgamma, log, sqrt
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from dmc.limits import (
 from .oracles import (
     _truncation_order,
     dense_counts_poisson_form,
+    fresh_steps_walk_form,
     per_cell_poisson_form,
     per_draw_cdf_poisson_limit,
     scipy_poisson_law,
+    traced_peak,
 )
 
 TOL = 1e-12
@@ -395,6 +398,32 @@ class TestWalkForm:
         exact = walk_form(time_integral_functional(), scheme).value
         rep = walk_form(time_integral_functional(), scheme, rng=rng, trials=6000, inner=64)
         assert abs(rep.value - exact) <= 3.0 * rep.se
+
+    @pytest.mark.parametrize("inner", [2, 64])
+    @pytest.mark.parametrize("functional", [endpoint_functional, time_integral_functional])
+    @pytest.mark.parametrize("N", [1, 8, 64])
+    def test_exact_inner_law_agrees_with_fresh_steps(self, N, functional, inner):
+        # both estimators are unbiased for sum_k c_k^2; the benchmark excuses a
+        # walk row far above it as a known defect, so only here would a bias show
+        F, scheme = functional(), WalkScheme(N)
+        exact = walk_form(F, scheme).value
+        new = walk_form(F, scheme, rng=np.random.default_rng(31), trials=4000, inner=inner)
+        old = fresh_steps_walk_form(F, scheme, np.random.default_rng(32), 4000, inner)
+        assert abs(new.value - exact) <= 4.0 * new.se
+        assert abs(old.value - exact) <= 4.0 * old.se
+        assert abs(new.value - old.value) <= 4.0 * hypot(new.se, old.se)
+
+    def test_monte_carlo_cost_does_not_grow_with_inner(self):
+        # 2000 trials of 10^9 fresh steps each would be 2 * 10^12 variates
+        call = lambda: walk_form(  # noqa: E731
+            time_integral_functional(), WalkScheme(8), rng=np.random.default_rng(3),
+            trials=2000, inner=10**9,
+        )
+        start = perf_counter()
+        rep = call()
+        assert perf_counter() - start < 1.0
+        assert np.isfinite(rep.value) and rep.se > 0.0
+        assert traced_peak(call) <= 2.5 * 2**20
 
     def test_monte_carlo_needs_two_inner_steps(self):
         rng = np.random.default_rng(7)
