@@ -63,6 +63,7 @@ from .semigroup import (
 from .space import Coordinate, iid_space, rademacher_coordinate, rademacher_space
 from .stein import (
     KernelMatrix,
+    SteinReport,
     fourth_moment_check,
     gamma_bound,
     gaussian_bound,
@@ -336,12 +337,12 @@ def run_hoeffding(args) -> dict:
         sp = iid_space(base, args.n)
         for kname, h in kernels.items():
             rep = hoeffding_decompose(sp, h, args.n)
-            proj = order_layers(sp, rep.statistic)[1 : h.arity + 1]
+            proj = order_layers(sp, rep.functional)[1 : h.arity + 1]
             layer_gap = max(
-                (L - P).sup_norm() for L, P in zip(rep.layers, proj)
+                (L - P).sup_norm() for L, P in zip(rep.terms, proj)
             )
             results[f"{base_name}/{kname}"] = {
-                "theta": rep.theta,
+                "theta": rep.mean,
                 "reconstruction": rep.residual,
                 "gram_off_diagonal": rep.max_off_diagonal,
                 "variance_gap": abs(rep.variance_pair[0] - rep.variance_pair[1]),
@@ -384,28 +385,18 @@ def run_stein_gaussian(args) -> dict:
     n = args.n
     if n < 1:
         raise BadParameters(f"need n >= 1, got {n}")
-    if args.mode == "exact" and n > GAUSSIAN_ENUM_CEILING:
-        raise BadParameters(
-            f"exact mode capped at n = {GAUSSIAN_ENUM_CEILING}, got {n}"
-        )
-    if n <= GAUSSIAN_ENUM_CEILING and args.mode != "mc":
+    if n <= GAUSSIAN_ENUM_CEILING:
         sp, F = _standardized_sum(n)
-        rep = gaussian_bound(sp, F)
-        report = asdict(rep)
+        report = asdict(gaussian_bound(sp, F))
         report["method"] = "enumeration"
     else:
         # standardized fair +-1 sums: the enumerated bound equals 2/sqrt(n)
-        report = {
-            "target": "gaussian",
-            "t1": 0.0,
-            "t2": 2.0 / sqrt(n),
-            "total": 2.0 / sqrt(n),
-            "constants": {},
-            "note": "closed form for standardized fair +-1 sums",
-            "method": "closed-form",
-        }
+        report = asdict(SteinReport("gaussian", t1=0.0, t2=2.0 / sqrt(n), total=2.0 / sqrt(n),
+                                    note="closed form for standardized fair +-1 sums"))
+        report["method"] = "closed-form"
     report["n"] = n
-    report["lyapounov"] = lyapounov_bound([(1.0 / n, n**-1.5)] * n)
+    # the n summands' totals: variance 1 and third absolute moment n * n^-1.5
+    report["lyapounov"] = lyapounov_bound([(1.0, n**-0.5)])
     return report
 
 
@@ -452,6 +443,8 @@ def _uniform_density(x):
 
 def run_limits_poisson(args) -> list:
     grid = _parse_grid(args.grid)
+    if args.functional == "capped":
+        _at_least(args, "trials", 2)
     rng = np.random.default_rng(args.seed)
     rows = []
     for N in grid:
@@ -477,12 +470,12 @@ def run_limits_walk(args) -> list:
         else time_integral_functional()
     )
     limit = walk_limit(F)
+    if args.mode == "mc":
+        _at_least(args, "trials", 2)
     rows = []
     for N in grid:
         scheme = WalkScheme(N)
         if args.mode == "mc":
-            if args.trials <= 0:
-                raise BadParameters("mc mode needs --trials >= 2")
             rep = walk_form(F, scheme, rng=rng, trials=args.trials, inner=args.inner)
         else:
             rep = walk_form(F, scheme)
@@ -534,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stein-gaussian", help="Gaussian-distance bound")
     _add_common(p)
-    p.add_argument("--mode", choices=("exact", "mc"), default=None)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("stein-gamma", help="Gamma-distance bound")

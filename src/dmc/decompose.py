@@ -43,8 +43,14 @@ from .semigroup import resolvent
 
 @dataclass
 class DecompositionReport:
-    """Terms of one representation F = E[F] + sum(terms), with diagnostics."""
+    """Terms of one representation F = mean + sum(terms), with diagnostics.
 
+    `functional` is the decomposed F.  `order` indexes the terms: the
+    coordinates for the Clark forms (E[F] is their mean), the interaction
+    orders 1..m for the Hoeffding layers of a U-statistic (theta is theirs).
+    """
+
+    functional: Functional
     order: tuple
     mean: float
     terms: list
@@ -104,16 +110,16 @@ def _chain_gram(space: ProductSpace, increments, axes) -> np.ndarray:
     return gram
 
 
-def _report(space, F, order, terms, gram) -> DecompositionReport:
-    """Diagnostics of F = E[F] + sum(terms), given the terms' Gram matrix.
+def _report(space, F, mean, order, terms, gram) -> DecompositionReport:
+    """Diagnostics of F = mean + sum(terms), given the terms' Gram matrix.
 
-    `clark` and `clark_reverse` pass `_chain_gram` of their drop chain;
-    `clark_symmetric`, whose term supports are not nested, passes `_gram`.
+    The Clark forms pass mean = E[F], and `clark` and `clark_reverse` pass
+    `_chain_gram` of their drop chain; `clark_symmetric` and the Hoeffding
+    layers, whose term supports are not nested, pass `_gram`.
     The residual adds the terms smallest first, so the running sum stays
     compact until the largest term joins it, and adds each into the sum's
     own array once the sum covers that term's shape.
     """
-    mean = expectation(space, F)
     total = np.full((1,) * space.n, mean)
     for x in sorted((T.data for T in terms), key=np.size):
         total = _add_into(total, x)
@@ -122,6 +128,7 @@ def _report(space, F, order, terms, gram) -> DecompositionReport:
     del total  # before variance makes its own full-grid temporary
     var_pair = (variance(space, F), float(np.trace(gram)))
     return DecompositionReport(
+        functional=F,
         order=tuple(order),
         mean=mean,
         terms=list(terms),
@@ -163,8 +170,8 @@ def clark(space: ProductSpace, F: Functional, order=None) -> DecompositionReport
     order = resolve_order(space, order)
     axes = order[::-1]
     increments = _drop_chain_increments(space, F, axes)
-    gram = _chain_gram(space, increments, axes)
-    return _report(space, F, order, increments[::-1], gram[::-1, ::-1])
+    gram = _chain_gram(space, increments, axes)[::-1, ::-1]
+    return _report(space, F, expectation(space, F), order, increments[::-1], gram)
 
 
 def clark_reverse(space: ProductSpace, F: Functional, order=None) -> DecompositionReport:
@@ -175,7 +182,8 @@ def clark_reverse(space: ProductSpace, F: Functional, order=None) -> Decompositi
     """
     order = resolve_order(space, order)
     increments = _drop_chain_increments(space, F, order)
-    return _report(space, F, order, increments, _chain_gram(space, increments, order))
+    gram = _chain_gram(space, increments, order)
+    return _report(space, F, expectation(space, F), order, increments, gram)
 
 
 def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
@@ -221,7 +229,9 @@ def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
         R = integrals.pop(b)
         R -= _average(space, R, [b])
         terms.append(Functional(space, R, F.deps))
-    return _report(space, F, tuple(range(space.n)), terms, _gram(space, terms))
+    return _report(
+        space, F, expectation(space, F), tuple(range(space.n)), terms, _gram(space, terms)
+    )
 
 
 def symmetric_coordinate_term(space: ProductSpace, F: Functional, b: int) -> Functional:

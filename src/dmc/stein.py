@@ -32,6 +32,7 @@ from .space import (
     _average,
     conditional_drop,
     expectation,
+    iid_space,
 )
 from .calculus import gradient_component, invert_number_operator, number_operator
 
@@ -315,11 +316,14 @@ def homogeneous_functional(space: ProductSpace, K: KernelMatrix) -> Functional:
 def homogeneous_samples(
     K: KernelMatrix, base: Coordinate, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Monte-Carlo draws of the homogeneous sum without building the space."""
+    """Monte-Carlo draws of the homogeneous sum on K.n iid copies of `base`.
+
+    `ProductSpace.sample_configs` draws the configurations; no table of the
+    sum is built.
+    """
     if base.embedding is None:
         raise BadKernel("sampling needs a real embedding")
-    outcomes = rng.choice(base.size, size=(size, K.n), p=base.pmf)
-    X = base.embedding[outcomes]
+    X = base.embedding[iid_space(base, K.n).sample_configs(rng, size)]
     return np.einsum("si,ij,sj->s", X, K.f, X)
 
 

@@ -11,6 +11,12 @@ the layers do not sum to U_n - theta (already for h(x,y) = x + y); the
 factor is forced by the induction that proves the decomposition and by the
 classical projection form.  See also `symmetric_clark_groups` for a related
 regrouping whose per-size groups do *not* coincide with the layers.
+
+`hoeffding_decompose` reports the layers as the Clark forms report their
+terms, in a `DecompositionReport` built by `decompose._report`: the
+decomposed functional is U_n, the mean is theta (so the residual checks
+theta + sum_k H^(k) against U_n), and `order` holds the interaction orders
+1..m that index the layers.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ import numpy as np
 
 from .errors import ArityError, BadKernel, NotIID
 from .space import (
-    Coordinate, Functional, ProductSpace, conditional_drop, expectation, iid_space, variance
+    Coordinate, Functional, ProductSpace, conditional_drop, expectation, iid_space
 )
 from .calculus import gradient_component, number_operator, order_layers
-from .decompose import DecompositionReport, _gram, clark_symmetric
+from .decompose import DecompositionReport, _gram, _report, clark_symmetric
 
 DEGENERACY_TOL = 1e-12
 
@@ -68,25 +74,6 @@ class HoeffdingKernels:
     theta: float
     conditional_means: list  # h_1 .. h_m as dense tables
     degenerate: list  # g_1 .. g_m as dense tables
-
-
-@dataclass
-class HoeffdingReport:
-    """U_n = theta + sum_k H^(k), with the Gram of the layers.
-
-    `statistic` is U_n itself, summed from the kernel table the layers
-    were built from, so a caller can take other views of it (such as
-    `order_layers`) without tabulating the kernel again.
-    """
-
-    theta: float
-    statistic: Functional  # U_n
-    layers: list  # Functionals H^(1) .. H^(m)
-    residual: float
-    gram: np.ndarray
-    variance_pair: tuple
-
-    max_off_diagonal = DecompositionReport.max_off_diagonal
 
 
 def _require_iid(space: ProductSpace, n: int) -> Coordinate:
@@ -161,8 +148,13 @@ def degeneracy_order(h: SymmetricKernel, base: Coordinate) -> int | None:
     return None
 
 
-def hoeffding_decompose(space: ProductSpace, h: SymmetricKernel, n: int) -> HoeffdingReport:
-    """Layers H^(k) from the degenerate kernels; sums to U_n - theta exactly."""
+def hoeffding_decompose(space: ProductSpace, h: SymmetricKernel, n: int) -> DecompositionReport:
+    """U_n = theta + sum_k H^(k): the layers from the degenerate kernels, orders 1..m.
+
+    The report's functional is U_n itself, summed from the kernel table the
+    layers were built from, so a caller can take other views of it (such as
+    `order_layers`) without tabulating the kernel again.
+    """
     m = h.arity
     if n < m:
         raise ArityError(f"need n >= m, got n={n} < m={m}")
@@ -173,20 +165,7 @@ def hoeffding_decompose(space: ProductSpace, h: SymmetricKernel, n: int) -> Hoef
         _subset_sum(space, g, n, comb(m, k) / comb(n, k))
         for k, g in enumerate(kernels.degenerate, start=1)
     ]
-    recon = space.constant(kernels.theta)
-    for L in layers:
-        recon = recon + L
-    residual = (recon - U).sup_norm()
-    gram = _gram(space, layers)
-    var_pair = (variance(space, U), float(np.trace(gram)))
-    return HoeffdingReport(
-        theta=kernels.theta,
-        statistic=U,
-        layers=layers,
-        residual=residual,
-        gram=gram,
-        variance_pair=var_pair,
-    )
+    return _report(space, U, kernels.theta, range(1, m + 1), layers, _gram(space, layers))
 
 
 def hoeffding_via_projections(space: ProductSpace, h: SymmetricKernel, n: int) -> list:

@@ -99,6 +99,13 @@ the Ewens index matrix one `rng.choice` column at a time: the routes that
 Gauss-Laguerre rule again on every call: the routes that `gradient_component`
 and the cached nodes of `cli._quadrature_resolvent` replaced.
 
+`own_report_hoeffding_decompose` is the Hoeffding report with its own
+residual (theta plus the layers in order, against U_n), Gram and variance
+pair, the route that `hoeffding_decompose` replaced by `decompose._report`.
+`row_major_homogeneous_samples` draws the outcome matrix of the homogeneous
+sum in one row-major `rng.choice`, the route that `stein.homogeneous_samples`
+replaced by `ProductSpace.sample_configs`.
+
 `traced_peak` is the tracemalloc measure that the memory tests share.
 """
 
@@ -136,7 +143,7 @@ from dmc.space import (
     resolve_order,
     variance,
 )
-from dmc.ustat import _require_iid, hoeffding_kernels
+from dmc.ustat import _require_iid, _subset_sum, hoeffding_kernels
 
 
 def beta_weight(k: int, n: int) -> float:
@@ -695,7 +702,8 @@ def drop_tree_clark_symmetric(space, F):
                 term = term + (cond[key] - cond[key - {b}])
             terms.append(term * w)
         cond = {B: G for B, G in cond.items() if len(B) >= r}
-    return _report(space, F, tuple(range(n)), terms, _gram(space, terms))
+    mean = expectation(space, F)
+    return _report(space, F, mean, tuple(range(n)), terms, _gram(space, terms))
 
 
 def functional_node_anova(space, F):
@@ -789,6 +797,36 @@ def laggauss_quadrature_resolvent(space, G, nodes=64):
     for ti, wi in zip(t, w):
         out = out + mehler_apply(space, G, float(ti)) * float(wi)
     return out
+
+
+def own_report_hoeffding_decompose(space, h, n):
+    """theta, U_n, the layers H^(1..m), residual, Gram and variance pair, as a dict."""
+    m = h.arity
+    kernels = hoeffding_kernels(h, _require_iid(space, n))
+    U = _subset_sum(space, kernels.conditional_means[-1], n, 1.0 / comb(n, m))
+    layers = [
+        _subset_sum(space, g, n, comb(m, k) / comb(n, k))
+        for k, g in enumerate(kernels.degenerate, start=1)
+    ]
+    recon = space.constant(kernels.theta)
+    for L in layers:
+        recon = recon + L
+    gram = _gram(space, layers)
+    return {
+        "theta": kernels.theta,
+        "statistic": U,
+        "layers": layers,
+        "residual": (recon - U).sup_norm(),
+        "gram": gram,
+        "variance_pair": (variance(space, U), float(np.trace(gram))),
+    }
+
+
+def row_major_homogeneous_samples(K, base, rng, size):
+    """Draws of the homogeneous sum from one (size, K.n) row-major `rng.choice`."""
+    outcomes = rng.choice(base.size, size=(size, K.n), p=base.pmf)
+    X = base.embedding[outcomes]
+    return np.einsum("si,ij,sj->s", X, K.f, X)
 
 
 def traced_peak(call):

@@ -7,6 +7,8 @@ import pytest
 
 from dmc.cli import main
 
+from .oracles import traced_peak
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -48,6 +50,7 @@ class TestReportEnvelope:
         ["stein-gamma", "--mode", "exact"],
         ["stein-homog", "--kernel", "k.csv", "--trials", "5"],
         ["stein-gaussian", "--n", "4", "--trials", "5"],
+        ["stein-gaussian", "--n", "4", "--mode", "mc"],
     ])
     def test_options_a_subcommand_does_not_read_are_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -57,11 +60,12 @@ class TestReportEnvelope:
     def test_config_holds_only_read_options(self, capsys):
         rep = run_json(capsys, "hoeffding", "--n", "3")
         assert rep["config"] == {"n": 3}
+        rep = run_json(capsys, "stein-gaussian", "--n", "4")
+        assert rep["config"] == {"n": 4}
 
     def test_dmc_errors_exit_nonzero(self, capsys):
         assert main(["ewens", "--N", "3"]) == 1  # neither --enum nor --trials
         assert main(["ewens", "--N", "0", "--enum"]) == 1
-        assert main(["stein-gaussian", "--n", "25", "--mode", "exact"]) == 1
 
 
 class TestReproducibility:
@@ -123,6 +127,18 @@ class TestSpecExamples:
             res = rep["results"]
             assert res["method"] == "enumeration"
             assert abs(res["total"] - 2.0 / sqrt(n)) <= 1e-12
+
+    def test_stein_gaussian_closed_form_holds_no_pair_per_summand(self, tmp_path):
+        """The Lyapounov value takes the sum's totals (1, n^-1/2), not n equal pairs."""
+        out = tmp_path / "g.json"
+        # n = 10**6 first: n pairs would hold 8 MB there and stop the test
+        # before n = 10**9, where they would hold 8 GB
+        for n in (10**6, 10**9):
+            peak = traced_peak(lambda: main(["stein-gaussian", "--n", str(n), "--out", str(out)]))
+            assert peak <= 2**20
+            res = json.loads(out.read_text())["results"]
+            assert res["method"] == "closed-form"
+            assert abs(res["lyapounov"] - 2.0 * (sqrt(2.0) + 1.0) / sqrt(n)) <= 1e-15
 
 
 class TestOtherSubcommands:
@@ -227,7 +243,7 @@ SEEDED_ARGV = [
 
 @pytest.mark.parametrize("argv", [
     ["stein-gamma", "--n", "1"],
-    ["stein-gaussian", "--n", "0", "--mode", "mc"],
+    ["stein-gaussian", "--n", "0"],
     ["semigroup", "--repeats", "1", "--trials", "1"],
     ["ewens", "--N", "4", "--trials", "1"],
     ["limits-walk", "--mode", "mc", "--grid", "8", "--trials", "1"],
@@ -287,6 +303,18 @@ def test_count_options_that_check_nothing_are_refused(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --") and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["limits-walk", "--mode", "mc", "--grid", "8", "--trials", "1"],
+    ["limits-walk", "--mode", "mc", "--grid", "8"],
+    ["limits-poisson", "--functional", "capped", "--grid", "4", "--trials", "1"],
+    ["limits-poisson", "--functional", "capped", "--grid", "4"],
+], ids=["walk-1", "walk-default", "poisson-1", "poisson-default"])
+def test_monte_carlo_trials_below_two_are_named(capsys, argv):
+    assert main(argv) == 1
+    got = argv[argv.index("--trials") + 1] if "--trials" in argv else "0"
+    assert capsys.readouterr().err == f"error: --trials must be >= 2, got {got}\n"
 
 
 def test_inner_below_two_is_named_in_exact_mode(capsys):

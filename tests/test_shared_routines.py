@@ -84,7 +84,7 @@ def test_ustat_routes_match_pairwise_routes(kind, h):
     for new, old in zip(groups, pairwise_symmetric_clark_groups(sp, h, n)):
         assert (new - old).sup_norm() <= REL * scale
     rep = hoeffding_decompose(sp, h, n)
-    assert np.max(np.abs(rep.gram - pairwise_gram(sp, rep.layers))) <= REL * scale**2
+    assert np.max(np.abs(rep.gram - pairwise_gram(sp, rep.terms))) <= REL * scale**2
     # the old residual summed the symmetric terms against U - E[U]
     sym = clark_symmetric(sp, U)
     total = sp.constant(0.0)

@@ -21,12 +21,13 @@ from dmc.stein import (
     gaussian_bound_resampled,
     homogeneous_functional,
     homogeneous_gamma_bound,
+    homogeneous_samples,
     lyapounov_bound,
     resample_integral,
     smooth_test_family,
 )
 
-from .oracles import functional_stein_terms, weight_table
+from .oracles import functional_stein_terms, row_major_homogeneous_samples, weight_table
 from .test_full_grid_operators import (
     KINDS,
     REL,
@@ -273,6 +274,36 @@ class TestHomogeneous:
             want = float(x @ f @ x)
             got = F.values[cfg]
             assert abs(got - want) <= TOL
+
+
+def _random_kernel(n, seed):
+    M = np.random.default_rng(seed).normal(size=(n, n))
+    f = (M + M.T) / 2
+    np.fill_diagonal(f, 0.0)
+    return KernelMatrix(f)
+
+
+class TestHomogeneousSamples:
+    """`homogeneous_samples` draws its configurations through `ProductSpace.sample_configs`."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_are_sample_configs_draws(self, seed):
+        K = _random_kernel(5, seed)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = homogeneous_samples(K, SKEWED, rng, 1000)
+        X = SKEWED.embedding[iid_space(SKEWED, 5).sample_configs(twin, 1000)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert draws.tobytes() == np.einsum("si,ij,sj->s", X, K.f, X).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_moments_match_the_row_major_route(self, seed):
+        K, size = _random_kernel(6, seed), 20_000
+        new = homogeneous_samples(K, SKEWED, np.random.default_rng(seed), size)
+        old = row_major_homogeneous_samples(K, SKEWED, np.random.default_rng(seed + 100), size)
+        for power in (1, 2):
+            a, b = new**power, old**power
+            se = sqrt((a.var(ddof=1) + b.var(ddof=1)) / size)
+            assert abs(a.mean() - b.mean()) <= 4.0 * se
 
 
 class TestDegenerateUstat:

@@ -19,7 +19,9 @@ from dmc.ustat import (
     u_statistic,
 )
 from dmc.calculus import number_operator
-from .oracles import allocating_subset_sum, ndindex_kernel_table, traced_peak
+from .oracles import (
+    allocating_subset_sum, ndindex_kernel_table, own_report_hoeffding_decompose, traced_peak
+)
 
 TOL = 1e-12
 
@@ -152,7 +154,7 @@ class TestRecursiveKernels:
         sp = rademacher_space(3)
         U = u_statistic(sp, PROD, 3)
         rep = hoeffding_decompose(sp, PROD, 3)
-        centered = U - rep.theta
+        centered = U - rep.mean
         assert (number_operator(sp, centered) + 2.0 * centered).sup_norm() <= TOL
 
 
@@ -174,7 +176,7 @@ class TestDecomposition:
             var, total = rep.variance_pair
             assert abs(var - total) <= 1e-10
             proj = hoeffding_via_projections(sp, h, n)
-            for L, P in zip(rep.layers, proj):
+            for L, P in zip(rep.terms, proj):
                 assert (L - P).sup_norm() <= 1e-11
 
     def test_projections_hold_a_table_per_order(self):
@@ -191,8 +193,8 @@ class TestDecomposition:
         sp = rademacher_space(3)
         rep = hoeffding_decompose(sp, PROD, 3)
         U = u_statistic(sp, PROD, 3)
-        assert rep.layers[0].sup_norm() <= TOL
-        assert (rep.layers[1] - U).sup_norm() <= TOL
+        assert rep.terms[0].sup_norm() <= TOL
+        assert (rep.terms[1] - U).sup_norm() <= TOL
 
     def test_sum_kernel_single_layer(self):
         sp = rademacher_space(3)
@@ -202,14 +204,51 @@ class TestDecomposition:
             + sp.coordinate_functional(1)
             + sp.coordinate_functional(2)
         ) * (2.0 / 3.0)
-        assert (rep.layers[0] - want).sup_norm() <= TOL
-        assert rep.layers[1].sup_norm() <= TOL
+        assert (rep.terms[0] - want).sup_norm() <= TOL
+        assert rep.terms[1].sup_norm() <= TOL
 
     def test_constant_kernel(self):
         sp = rademacher_space(3)
         rep = hoeffding_decompose(sp, SymmetricKernel(2, lambda x, y: 4.0), 3)
-        assert rep.theta == 4.0
-        assert all(L.sup_norm() <= TOL for L in rep.layers)
+        assert rep.mean == 4.0
+        assert all(L.sup_norm() <= TOL for L in rep.terms)
+
+
+P02 = Coordinate(
+    id="p", labels=("0", "1"), pmf=np.array([0.8, 0.2]), embedding=np.array([0.0, 1.0]),
+)
+
+REPORT_KERNELS = [
+    SymmetricKernel(1, lambda x: x * x + x),
+    PROD,
+    SymmetricKernel(2, lambda x, y: x * y + (x + y) ** 2),
+    SymmetricKernel(3, lambda x, y, z: x * y * z),
+    SymmetricKernel(3, lambda x, y, z: x * y * z + x + y + z),
+]
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestReportThroughDecompose:
+    """`hoeffding_decompose` reports through `decompose._report`, bit for bit the old report."""
+
+    @pytest.mark.parametrize("base", [FAIR, P02, SKEWED], ids=["fair", "p02", "skewed"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
+    def test_report_matches_its_own_residual_route(self, base, n):
+        sp = iid_space(base, n)
+        for h in REPORT_KERNELS:
+            rep = hoeffding_decompose(sp, h, n)
+            old = own_report_hoeffding_decompose(sp, h, n)
+            assert rep.order == tuple(range(1, h.arity + 1))
+            assert _bits(rep.mean, rep.residual) == _bits(old["theta"], old["residual"])
+            assert rep.gram.tobytes() == old["gram"].tobytes()
+            assert _bits(*rep.variance_pair) == _bits(*old["variance_pair"])
+            assert rep.functional.data.tobytes() == old["statistic"].data.tobytes()
+            assert len(rep.terms) == len(old["layers"]) == h.arity
+            for new_layer, old_layer in zip(rep.terms, old["layers"]):
+                assert new_layer.data.tobytes() == old_layer.data.tobytes()
 
 
 class TestSymmetricClarkLink:
@@ -227,7 +266,7 @@ class TestSymmetricClarkLink:
         groups = symmetric_clark_groups(sp, SUM2, 3)
         rep = hoeffding_decompose(sp, SUM2, 3)
         U = u_statistic(sp, SUM2, 3)
-        total = sp.constant(rep.theta)
+        total = sp.constant(rep.mean)
         for G in groups:
             total = total + G
         assert (total - U).sup_norm() <= TOL
@@ -238,7 +277,7 @@ class TestSymmetricClarkLink:
         )
         assert (groups[0] - sum_x * (1.0 / 3.0)).sup_norm() <= TOL
         assert (groups[1] - sum_x * (1.0 / 3.0)).sup_norm() <= TOL
-        assert (groups[0] - rep.layers[0]).sup_norm() > 0.1
+        assert (groups[0] - rep.terms[0]).sup_norm() > 0.1
 
 
 def _random_kernel(m, seed):
@@ -285,8 +324,8 @@ class TestTabulationThroughSpace:
         sp = iid_space(base, 5)
         rep = hoeffding_decompose(sp, h, 5)
         U = u_statistic(sp, h, 5)
-        assert rep.statistic.deps == U.deps
-        assert rep.statistic.data.tobytes() == U.data.tobytes()
+        assert rep.functional.deps == U.deps
+        assert rep.functional.data.tobytes() == U.data.tobytes()
 
     def test_cli_case_builds_u_once(self, monkeypatch, tmp_path):
         sums = []
