@@ -16,8 +16,14 @@ Everything downstream (gradient, divergence, semigroup, Clark
 decompositions, ...) is built from one operation, the one-coordinate average
 E_a.  `_average` is its only implementation: `integrate_out` and the
 conditionals, `expectation` and `variance` (E_a over every axis, by Fubini)
-all take one product with the pmf per stored axis, so an expectation holds
-less than the array it is given.
+all go through it.  A table of at most `SMALL_TABLE` entries takes one
+product with the pmf per stored axis.  On a larger one, averaged axes with
+no kept stored axis between them form a run, contracted in one pass against
+the product of their pmfs (at most `RUN_LAW_CAP` entries); the kernel of
+each pass (a gemv, a batched matmul, a gemm against a Kronecker block, or
+one einsum pass) follows from the shape alone, and each space caches its
+run laws and Kronecker blocks within `KERNEL_CACHE_BYTES`.  An expectation
+holds less than the array it is given.
 
 Exact mode has one rule, checked here only and before allocating: no array
 stored on a space exceeds `exact_ceiling` entries.
@@ -26,6 +32,7 @@ stored on a space exceeds `exact_ceiling` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -42,6 +49,14 @@ from .errors import (
 
 PMF_TOL = 1e-9
 DEFAULT_EXACT_CEILING = 10**7
+
+# `_average` (sizes in table entries unless stated)
+SMALL_TABLE = 256  # tables up to this size go one stored axis at a time
+RUN_LAW_CAP = 4096  # the product law of one run of averaged axes
+MATMUL_ROW = 128  # a row of K * post from which a batched matmul pays
+KRON_POST = 8  # the longest post contracted against a Kronecker block
+KRON_BLOCK_CAP = 1024  # one kron(law, I_post) block, checked before it is built
+KERNEL_CACHE_BYTES = 1 << 20  # every law and block cached on one space
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,7 @@ class ProductSpace:
         self.config_count = int(np.prod([c.size for c in self.coords], dtype=object))
         self.exact_ceiling = exact_ceiling
         self.exact = self.config_count <= exact_ceiling
+        self._kernels = {}  # `_average`'s run laws and Kronecker blocks, by run
 
     @property
     def n(self) -> int:
@@ -268,29 +284,152 @@ def build_space(coords: Sequence[Coordinate], exact_ceiling: int = DEFAULT_EXACT
 
 
 def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> np.ndarray:
-    """E_a for each a in the ascending `axes` of compact `data`.
+    """E_a for each a in the strictly ascending `axes` of compact `data`.
 
     Returns the averaged array at its compact shape (each averaged axis at
-    length 1).  Length-1 axes cost nothing; a stored axis of length k is one
-    product with its pmf on the array viewed as (pre, k, post): a gemv if
-    pre or post is 1, else one einsum pass, which holds no temporary and,
-    unlike a batched matmul, makes no BLAS call per leading index.
+    length 1).  Length-1 axes cost nothing: if every averaged axis has
+    length 1 the result is a view of `data`, and any other call returns a
+    fresh array (`mix` relies on both).
+
+    A table of at most `SMALL_TABLE` entries, where the per-call cost shows,
+    takes one product with the pmf per stored axis on the array viewed as
+    (pre, k, post): a gemv if pre or post is 1, else one einsum pass.
+
+    A larger table is averaged by runs (`_runs`): stored averaged axes with
+    no kept stored axis between them, one contiguous block of K entries in
+    each row, contracted in one pass against their product law (`_law`, at
+    most `RUN_LAW_CAP` entries).  `_kernel` picks each pass (`_passes`)
+    from the view (pre, K, post) alone:
+
+    - pre == 1: gemv, law @ (K, post);
+    - post == 1: gemv, (pre, K) @ law;
+    - K * post >= `MATMUL_ROW`: batched matmul, one gemv per leading index;
+    - post <= `KRON_POST`: one gemm of (pre, K * post) against the cached
+      block kron(law, I_post), at most `KRON_BLOCK_CAP` entries (so a
+      non-finite entry turns its row's other `post` results into NaN);
+    - otherwise one einsum pass.
+
+    Run laws and blocks are cached on the space (`_cached`) within
+    `KERNEL_CACHE_BYTES`; a cached and a rebuilt one are bitwise equal.
     """
-    coords, out, v = space.coords, list(data.shape), data
-    for i, a in enumerate(axes):
-        k = out[a]
+    if data.size <= SMALL_TABLE:
+        coords, out, v = space.coords, list(data.shape), data
+        for i, a in enumerate(axes):
+            k = out[a]
+            if k == 1:
+                continue
+            pmf = coords[a].pmf
+            # a == i: every axis before a was averaged or is constant, so pre == 1
+            if a == i or (pre := prod(out[:a])) == 1:
+                v = pmf.dot(v.reshape(k, -1))
+            elif v.size == pre * k:
+                v = v.reshape(-1, k).dot(pmf)
+            else:
+                v = np.einsum("j,ijk->ik", pmf, v.reshape(pre, k, -1))
+            out[a] = 1
+        return v.reshape(out)
+    out, v = list(data.shape), data
+    for run, pre, K, post, kernel in _passes(out, axes):
+        law = _law(space, run)
+        if kernel == "gemv-left":
+            v = law.dot(v.reshape(K, post))
+        elif kernel == "gemv-right":
+            v = v.reshape(pre, K).dot(law)
+        elif kernel == "matmul":
+            v = np.matmul(law, v.reshape(pre, K, post))
+        elif kernel == "kron":
+            v = v.reshape(pre, K * post).dot(_kron_block(space, run, law, post))
+        else:
+            v = np.einsum("j,ijk->ik", law, v.reshape(pre, K, post))
+        for a in run:
+            out[a] = 1
+    return v.reshape(out)
+
+
+def _runs(shape: Sequence[int], axes: Iterable[int]) -> list:
+    """The stored axes among the ascending `axes`, grouped into runs.
+
+    Two averaged axes share a run when every axis between them has length 1
+    or is averaged too, so a run is one contiguous block of the C-ordered
+    table; a run grows while its product law has at most `RUN_LAW_CAP`
+    entries.  Each run is a tuple of axes.
+    """
+    runs, run, K = [], (), 1
+    for a in axes:
+        k = shape[a]
         if k == 1:
             continue
-        pmf = coords[a].pmf
-        # a == i: every axis before a was averaged or is constant, so pre == 1
-        if a == i or (pre := prod(out[:a])) == 1:
-            v = pmf.dot(v.reshape(k, -1))
-        elif v.size == pre * k:
-            v = v.reshape(-1, k).dot(pmf)
+        if run and K * k <= RUN_LAW_CAP and prod(shape[run[-1] + 1:a]) == 1:
+            run, K = run + (a,), K * k
         else:
-            v = np.einsum("j,ijk->ik", pmf, v.reshape(pre, k, -1))
-        out[a] = 1
-    return v.reshape(out)
+            if run:
+                runs.append(run)
+            run, K = (a,), k
+    if run:
+        runs.append(run)
+    return runs
+
+
+def _passes(shape: Sequence[int], axes: Iterable[int]):
+    """(run, pre, K, post, kernel) for each run of `_runs`, in the order `_average` takes them."""
+    out = list(shape)
+    for run in _runs(out, axes):
+        pre, post = prod(out[:run[0]]), prod(out[run[-1] + 1:])
+        K = prod(out[a] for a in run)
+        yield run, pre, K, post, _kernel(pre, K, post)
+        for a in run:
+            out[a] = 1
+
+
+def _kernel(pre: int, K: int, post: int) -> str:
+    """The pass that contracts a (pre, K, post) view against a law of K entries.
+
+    numpy's inner loops run over the last axis, so a short `post` starves
+    einsum; there a gemm against the Kronecker block is faster despite its
+    zeros, and a long row of K * post amortizes one BLAS call per leading
+    index.  See `_average` for the table.
+    """
+    if pre == 1:
+        return "gemv-left"
+    if post == 1:
+        return "gemv-right"
+    if K * post >= MATMUL_ROW:
+        return "matmul"
+    if post <= KRON_POST and K * post * post <= KRON_BLOCK_CAP:
+        return "kron"
+    return "einsum"
+
+
+def _law(space: ProductSpace, run: tuple) -> np.ndarray:
+    """The product of the run's pmfs, C-ordered like the run's block of the table."""
+    if len(run) == 1:
+        return space.coords[run[0]].pmf
+    return _cached(space, ("law", run),
+                   lambda: reduce(np.multiply.outer, [space.coords[a].pmf for a in run]).ravel())
+
+
+def _kron_block(space: ProductSpace, run: tuple, law: np.ndarray, post: int) -> np.ndarray:
+    """kron(law, I_post): row j * post + p holds law[j] in column p.
+
+    Its builder closes over `law` and `post` here, not in `_average`, where
+    the closure would cost every small-table call a cell per variable.
+    """
+    return _cached(space, ("kron", run, post),
+                   lambda: np.kron(law.reshape(-1, 1), np.eye(post)))
+
+
+def _cached(space: ProductSpace, key: tuple, build: Callable) -> np.ndarray:
+    """`build()` kept read-only on the space; the cache is emptied before it
+    would pass `KERNEL_CACHE_BYTES`."""
+    cache = space._kernels
+    table = cache.get(key)
+    if table is None:
+        table = build()
+        table.flags.writeable = False  # every later call shares it
+        if table.nbytes + sum(t.nbytes for t in cache.values()) > KERNEL_CACHE_BYTES:
+            cache.clear()
+        cache[key] = table
+    return table
 
 
 def expectation(space: ProductSpace, F: Functional) -> float:

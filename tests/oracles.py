@@ -25,6 +25,8 @@ g_k = prod_j (I - E_j) h_k by the same contractions on k-dimensional tables:
 the routes that the one averaging kernel of `space` replaced.
 `tensordot_average` is that route on bare arrays: the dense-route tests
 patch it in for `space._average` in every module that binds it by name.
+`axis_by_axis_average` is the one-pass-per-stored-axis kernel that runs of
+averaged axes replaced on tables past `space.SMALL_TABLE` entries.
 `take_resample_integral` is the per-outcome `np.take` loop that
 `stein.resample_integral` replaced with (D_aF)^2 + E_a (D_aF)^2.
 
@@ -360,6 +362,30 @@ def tensordot_average(space, data, axes):
         if data.shape[a] > 1:
             data = np.expand_dims(np.tensordot(data, space.coords[a].pmf, axes=([a], [0])), a)
     return data
+
+
+def axis_by_axis_average(space, data, axes):
+    """`space._average` one stored axis at a time, every table viewed as (pre, k, post).
+
+    A gemv if pre or post is 1, else one einsum pass: the form every table
+    took before averaged axes were grouped into runs, and the one tables of
+    at most `SMALL_TABLE` entries still take.
+    """
+    coords, out, v = space.coords, list(data.shape), data
+    for i, a in enumerate(axes):
+        k = out[a]
+        if k == 1:
+            continue
+        pmf = coords[a].pmf
+        # a == i: every axis before a was averaged or is constant, so pre == 1
+        if a == i or (pre := prod(out[:a])) == 1:
+            v = pmf.dot(v.reshape(k, -1))
+        elif v.size == pre * k:
+            v = v.reshape(-1, k).dot(pmf)
+        else:
+            v = np.einsum("j,ijk->ik", pmf, v.reshape(pre, k, -1))
+        out[a] = 1
+    return v.reshape(out)
 
 
 def config_list_from_evaluator(space, fn, deps):
