@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Min-of-k wall time of `space._average`, per kernel and (pre, K, post).
+"""Min-of-k wall time of `space._average` and `calculus.mix`, per kernel and (pre, K, post).
 
     PYTHONPATH=src python3 scripts/average_kernels.py [--repeats 7] [--seed 0]
 
 BLAS runs on one thread.  Each space is tabulated in full with random
-normal entries.  Every single axis is timed, then four multi-axis calls:
+normal entries.  Every single axis is averaged, then four multi-axis calls:
 all axes (an expectation), axes 1..n-1 (the first prefix conditional), the
-odd axes and the last half.  Each line gives the call's runs as
+odd axes and the last half; the last line of a space applies M_u at
+u = 0.37 over every axis.  Each line gives the call's runs as
 kernel(pre, K, post), or `per-axis` for a table of at most SMALL_TABLE
 entries, and the best of `--repeats` timings in microseconds per call.
 """
@@ -22,12 +23,14 @@ from math import prod
 
 import numpy as np
 
-from dmc import space
+from dmc import calculus, space
 
 
 def _coordinate(cid, pmf):
     return space.Coordinate(id=cid, labels=tuple(range(len(pmf))), pmf=np.asarray(pmf))
 
+
+MIX_U = 0.37
 
 SPACES = {
     "fair n=12": lambda: space.rademacher_space(12),
@@ -59,6 +62,13 @@ def _route(shape, axes):
                     for _, pre, K, post, kernel in space._passes(shape, axes))
 
 
+def _mix_route(shape):
+    if prod(shape) <= space.SMALL_TABLE:
+        return "per-axis"
+    return " ".join(f"{kernel}({pre},{K},{post})"
+                    for _, pre, K, post, kernel in calculus._mix_passes(shape, range(len(shape))))
+
+
 def _best_us(fn, repeats):
     once = min(timeit.repeat(fn, number=1, repeat=3))
     number = max(1, int(0.02 / max(once, 1e-7)))
@@ -78,6 +88,9 @@ def main(argv=None):
         for label, axes in _calls(sp.n):
             us = _best_us(lambda: space._average(sp, data, axes), args.repeats)
             print(f"{name:>10} {label:>10} {us:12.1f} us  {_route(sp.shape, axes)}")
+        F = sp.from_table(data)
+        us = _best_us(lambda: calculus.mix(sp, F, MIX_U), args.repeats)
+        print(f"{name:>10} {'mix':>10} {us:12.1f} us  {_mix_route(sp.shape)}")
 
 
 if __name__ == "__main__":

@@ -44,6 +44,12 @@ class Trajectory:
         return tuple(cfg)
 
 
+def _check_time(t: float, what: str = "time"):
+    """Refuse a negative or NaN time; t = inf is the limit, P_inf F = E F."""
+    if not t >= 0:
+        raise NegativeTime(f"{what} must be >= 0, got {t}")
+
+
 def mehler_apply(space: ProductSpace, F: Functional, t: float, frozen=()) -> Functional:
     """P_t F: keep each coordinate with probability e^{-t}, else resample.
 
@@ -51,15 +57,13 @@ def mehler_apply(space: ProductSpace, F: Functional, t: float, frozen=()) -> Fun
     semigroup acting on a gradient process, where the differentiated
     coordinate stays fixed.
     """
-    if t < 0:
-        raise NegativeTime(f"negative time {t}")
+    _check_time(t)
     return mix(space, F, exp(-t), frozen)
 
 
 def mehler_apply_swapped(space: ProductSpace, F: Functional, t: float) -> Functional:
     """Same mixture with the keep/resample weights exchanged (for comparison)."""
-    if t < 0:
-        raise NegativeTime(f"negative time {t}")
+    _check_time(t)
     return mix(space, F, 1.0 - exp(-t))
 
 
@@ -70,8 +74,7 @@ def simulate(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Jump-chain sampler: Poisson clock of rate n, uniform coordinate, resample."""
-    if horizon < 0:
-        raise NegativeTime(f"negative horizon {horizon}")
+    _check_time(horizon, "horizon")
     traj = Trajectory(initial=tuple(int(v) for v in x0), horizon=horizon)
     n = space.n
     t = rng.exponential(1.0 / n)
@@ -101,8 +104,7 @@ def simulate_terminal(
     offsets and the coordinate of every jump, and the hits of one coordinate
     at a time.
     """
-    if t < 0:
-        raise NegativeTime(f"negative time {t}")
+    _check_time(t)
     n = space.n
     ends = rng.poisson(n * t, size=size)
     np.cumsum(ends, out=ends)

@@ -289,7 +289,8 @@ def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> np.n
     Returns the averaged array at its compact shape (each averaged axis at
     length 1).  Length-1 axes cost nothing: if every averaged axis has
     length 1 the result is a view of `data`, and any other call returns a
-    fresh array (`mix` relies on both).
+    fresh array (`mix` relies on both on tables of at most `SMALL_TABLE`
+    entries, the only ones it averages through here).
 
     A table of at most `SMALL_TABLE` entries, where the per-call cost shows,
     takes one product with the pmf per stored axis on the array viewed as
@@ -346,20 +347,21 @@ def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> np.n
     return v.reshape(out)
 
 
-def _runs(shape: Sequence[int], axes: Iterable[int]) -> list:
+def _runs(shape: Sequence[int], axes: Iterable[int], cap: int | None = None) -> list:
     """The stored axes among the ascending `axes`, grouped into runs.
 
     Two averaged axes share a run when every axis between them has length 1
     or is averaged too, so a run is one contiguous block of the C-ordered
-    table; a run grows while its product law has at most `RUN_LAW_CAP`
-    entries.  Each run is a tuple of axes.
+    table; a run grows while it has at most `cap` entries (default
+    `RUN_LAW_CAP`, the cap on its product law).  Each run is a tuple of axes.
     """
+    cap = RUN_LAW_CAP if cap is None else cap
     runs, run, K = [], (), 1
     for a in axes:
         k = shape[a]
         if k == 1:
             continue
-        if run and K * k <= RUN_LAW_CAP and prod(shape[run[-1] + 1:a]) == 1:
+        if run and K * k <= cap and prod(shape[run[-1] + 1:a]) == 1:
             run, K = run + (a,), K * k
         else:
             if run:
@@ -381,13 +383,16 @@ def _passes(shape: Sequence[int], axes: Iterable[int]):
             out[a] = 1
 
 
-def _kernel(pre: int, K: int, post: int) -> str:
-    """The pass that contracts a (pre, K, post) view against a law of K entries.
+def _kernel(pre: int, K: int, post: int, rows: int = 1) -> str:
+    """The pass that contracts a (pre, K, post) view against a (rows, K) matrix.
 
-    numpy's inner loops run over the last axis, so a short `post` starves
-    einsum; there a gemm against the Kronecker block is faster despite its
-    zeros, and a long row of K * post amortizes one BLAS call per leading
-    index.  See `_average` for the table.
+    `rows` is 1 for a law (`_average`) and K for a mixing matrix (`mix`),
+    whose Kronecker block has K * post * rows * post entries.  numpy's inner
+    loops run over the last axis, so a short `post` starves einsum; there a
+    gemm against the Kronecker block is faster despite its zeros, and a long
+    row of K * post amortizes one BLAS call per leading index.  With a
+    mixing matrix a batched matmul beats einsum on every shape, so it takes
+    einsum's place.  See `_average` for the table.
     """
     if pre == 1:
         return "gemv-left"
@@ -395,9 +400,9 @@ def _kernel(pre: int, K: int, post: int) -> str:
         return "gemv-right"
     if K * post >= MATMUL_ROW:
         return "matmul"
-    if post <= KRON_POST and K * post * post <= KRON_BLOCK_CAP:
+    if post <= KRON_POST and K * post * rows * post <= KRON_BLOCK_CAP:
         return "kron"
-    return "einsum"
+    return "einsum" if rows == 1 else "matmul"
 
 
 def _law(space: ProductSpace, run: tuple) -> np.ndarray:

@@ -20,6 +20,7 @@ from dmc.inequalities import concentration
 from dmc.limits import WALK_BLOCK, WalkScheme, time_integral_functional, walk_form
 from dmc.semigroup import mehler_apply, resolvent
 from dmc.space import (
+    SMALL_TABLE,
     Coordinate,
     build_space,
     expectation,
@@ -35,6 +36,7 @@ from .oracles import (
     gradient_energy_poincare,
     gradient_sum_number_operator,
     in_order_residual,
+    mobius_anova,
     new_table_residual,
     squared_difference_variance,
     traced_peak,
@@ -42,6 +44,7 @@ from .oracles import (
 from .test_quadrature_routes import _mixed_space
 
 REL = 1e-14
+RUN_REL = 1e-15  # the bound `test_average_kernel` holds the run kernels of `_average` to
 KINDS = ["fair", "biased", "mixed"]
 
 
@@ -100,13 +103,12 @@ def test_poincare_energy_is_the_dirichlet_form(kind):
     assert poincare(sp, sp.constant(-1.5)) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_mixing_routes_are_bit_identical(kind, monkeypatch):
-    sp = _space(kind)
+def _check_mixing_routes(sp, monkeypatch, same):
+    """`mix`, P_t, L^-1 and the resolvent against the same over `allocating_mix`."""
     cases = []
     for F in _functionals(sp, np.random.default_rng(3)):
         for u, frozen in ((0.3, ()), (0.77, {1})):
-            _same(mix(sp, F, u, frozen), allocating_mix(sp, F, u, frozen))
+            same(mix(sp, F, u, frozen), allocating_mix(sp, F, u, frozen), F)
         centred = F - expectation(sp, F)
         cases.append((F, centred, mehler_apply(sp, F, 0.4, frozen={3}),
                       invert_number_operator(sp, centred), resolvent(sp, F, frozen={0})))
@@ -114,9 +116,45 @@ def test_mixing_routes_are_bit_identical(kind, monkeypatch):
     monkeypatch.setattr(calculus, "mix", allocating_mix)
     monkeypatch.setattr(semigroup, "mix", allocating_mix)
     for F, centred, P, inverse, R in cases:
-        _same(P, mehler_apply(sp, F, 0.4, frozen={3}))
-        _same(inverse, invert_number_operator(sp, centred))
-        _same(R, resolvent(sp, F, frozen={0}))
+        same(P, mehler_apply(sp, F, 0.4, frozen={3}), F)
+        same(inverse, invert_number_operator(sp, centred), F)
+        same(R, resolvent(sp, F, frozen={0}), F)
+
+
+@pytest.mark.parametrize("kind", ["fair", "biased"])
+def test_mixing_routes_are_bit_identical(kind, monkeypatch):
+    sp = _space(kind)
+    assert sp.config_count <= SMALL_TABLE  # the per-axis route, bit for bit
+    _check_mixing_routes(sp, monkeypatch, lambda got, want, F: _same(got, want))
+
+
+def _close(got, want, F):
+    """Equal dependency sets and compact shapes, and tables within `RUN_REL` of F's scale."""
+    assert got.deps == want.deps
+    assert got.data.shape == want.data.shape
+    assert np.max(np.abs(got.data - want.data)) <= RUN_REL * F.scale()
+
+
+@pytest.mark.parametrize("kind", ["mixed"])
+def test_mixing_run_route_matches_the_allocating_route(kind, monkeypatch):
+    """576 entries: `mix` contracts runs of axes, so it rounds unlike the per-axis route."""
+    sp = _space(kind)
+    assert sp.config_count > SMALL_TABLE
+    _check_mixing_routes(sp, monkeypatch, _close)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mixing_is_the_weighted_mobius_sum(kind):
+    """M_u F = sum_S u^|S - frozen| F_S, with F_S by the literal Moebius sum."""
+    sp = _space(kind)
+    for F in _functionals(sp, np.random.default_rng(3)):
+        components = mobius_anova(sp, F)
+        for u, frozen in ((0.3, set()), (0.77, {1}), (0.0, {0, 5}), (1.0, set())):
+            want = sum((G.values * u ** len(S - frozen) for S, G in components.items()),
+                       np.zeros(sp.shape))
+            got = mix(sp, F, u, frozen)
+            assert got.deps == F.deps
+            assert np.max(np.abs(got.values - want)) <= REL * F.scale(), (u, frozen)
 
 
 @pytest.mark.parametrize("kind", KINDS)

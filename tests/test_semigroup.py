@@ -57,11 +57,32 @@ class TestMehler:
         with pytest.raises(NegativeTime):
             mehler_apply(sp2, sp2.constant(1.0), -0.1)
 
+    def test_infinite_time_gives_the_mean(self, sp2, rng):
+        F = random_functional(sp2, rng)
+        G = mehler_apply(sp2, F, float("inf"))
+        assert (G - sp2.constant(expectation(sp2, F))).sup_norm() <= 1e-15 * F.scale()
+        assert (mehler_apply_swapped(sp2, F, float("inf")) - F).sup_norm() == 0.0
+
     def test_swapped_orientation_breaks_decay(self, sp2):
         # The mixture with exchanged keep/resample weights is not even a
         # semigroup: at t = 0 it already averages everything out.
         F = sp2.coordinate_functional(0) * sp2.coordinate_functional(1)
         assert (mehler_apply_swapped(sp2, F, 0.0) - F).sup_norm() > 0.5
+
+
+TIMED_CALLS = {
+    "mehler_apply": lambda sp, t: mehler_apply(sp, sp.coordinate_functional(0), t),
+    "mehler_apply_swapped": lambda sp, t: mehler_apply_swapped(sp, sp.coordinate_functional(0), t),
+    "simulate": lambda sp, t: simulate(sp, (0, 1), t, np.random.default_rng(0)),
+    "simulate_terminal": lambda sp, t: simulate_terminal(sp, (0, 1), t, np.random.default_rng(0), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIMED_CALLS))
+@pytest.mark.parametrize("t", [float("nan"), -0.1, float("-inf")], ids=["nan", "negative", "-inf"])
+def test_nan_and_negative_times_are_refused(sp2, name, t):
+    with pytest.raises(NegativeTime):
+        TIMED_CALLS[name](sp2, t)
 
 
 class TestSemigroupLaws:
