@@ -11,7 +11,8 @@ component by u^|S|, so M_u F = sum_k u^k H_k over the ANOVA layers H_k;
 `order_layers` takes the H_k as its coefficients.  Integrals of M_u over u
 in [0, 1] are polynomial in u; Gauss-Legendre quadrature evaluates them
 exactly from a few mixing passes, which gives the pseudo-inverse of L (and
-the resolvent in `semigroup`).  Only `anova` enumerates coordinate subsets.
+the resolvent in `semigroup`).  Only `anova` names coordinate subsets, one
+view of its Hoeffding table each.
 
 `mix` applies M_u to a table of at most `SMALL_TABLE` entries one
 coordinate at a time.  On a larger one, each run of adjacent mixed axes
@@ -23,13 +24,13 @@ their Kronecker blocks are cached on the space under (run, u).
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import prod
 from typing import Dict, FrozenSet, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ExactModeOverflow, NotCentered
+from .errors import NotCentered
 from .space import (
     SMALL_TABLE,
     Functional,
@@ -43,7 +44,6 @@ from .space import (
     expectation,
 )
 
-MAX_ANOVA_COORDS = 20
 MIX_RUN_CAP = 16  # entries of one run of `mix`, so its matrix has at most 256
 MIX_BLOCK_BYTES = 1 << 16  # the block in which a later pass of `mix` writes back
 
@@ -61,9 +61,7 @@ class CoordinateField:
         return sorted(self.components)
 
     def __getitem__(self, a: int) -> Functional:
-        if a in self.components:
-            return self.components[a]
-        return self.space.constant(0.0)
+        return self.components.get(a) or self.space.constant(0.0)
 
     def __contains__(self, a: int) -> bool:
         return a in self.components
@@ -83,10 +81,7 @@ def gradient(space: ProductSpace, F: Functional) -> CoordinateField:
 
 
 def divergence(space: ProductSpace, U: CoordinateField) -> Functional:
-    out = space.constant(0.0)
-    for a in U.indices():
-        out = out + gradient_component(space, U[a], a)
-    return out
+    return sum((gradient_component(space, U[a], a) for a in U.indices()), space.constant(0.0))
 
 
 def number_operator(space: ProductSpace, F: Functional) -> Functional:
@@ -105,58 +100,70 @@ def number_operator(space: ProductSpace, F: Functional) -> Functional:
 
 
 class AnovaDecomposition:
-    """Orthogonal expansion of F over subsets of its dependency set."""
+    """F's Hoeffding table: slot 0 of dependency axis a holds E_a, slots 1: D_a,
+    so F_S is the read-only view at slots 1: on S and slot 0 on the other
+    dependencies.  `components` and `layers` are computed once, on first use."""
 
-    def __init__(self, space: ProductSpace, components: Dict[FrozenSet[int], Functional]):
-        self.space = space
-        self.components = components
+    def __init__(self, space: ProductSpace, table: np.ndarray, deps: Iterable[int]):
+        self.space, self.table, self.deps = space, table, frozenset(deps)
+
+    @cached_property
+    def components(self) -> Dict[FrozenSet[int], Functional]:
+        """{S: F_S}, keyed as the node split was (first dependency most significant);
+        exactly 0 blocks are dropped, except the empty one, and NaN blocks are kept."""
+        T, every = self.table, slice(None)
+        nonzero = (T != 0).any(tuple(set(range(T.ndim)) - self.deps), keepdims=True)
+        nodes = {frozenset(): T}
+        for a in sorted(self.deps):
+            lo, hi = (every,) * a + (slice(0, 1),), (every,) * a + (slice(1, None),)
+            nonzero = np.concatenate([nonzero[lo], nonzero[hi].any(a, keepdims=True)], a)
+            nodes = {K: v for S, G in nodes.items() for K, v in ((S, G[lo]), (S | {a}, G[hi]))}
+        return {S: Functional(self.space, G, S)
+                for (S, G), kept in zip(nodes.items(), nonzero.ravel()) if kept or not S}
+
+    @cached_property
+    def layers(self) -> list:
+        """[H_0, ..., H_|deps|] as arrays: along each dependency axis a, H_k
+        takes slot 0 of H_k (broadcast) plus slots 1: of H_{k-1}."""
+        layers = [self.table]
+        for a in sorted(self.deps):
+            lo, hi = (slice(None),) * a + (slice(0, 1),), (slice(None),) * a + (slice(1, None),)
+            layers = [layers[0][lo], *(E[lo] + D[hi] for E, D in zip(layers[1:], layers)),
+                      layers[-1][hi]]
+        for H in layers:
+            H.flags.writeable = False  # `order_sum` hands the same arrays to every caller
+        return layers
 
     def component(self, subset: Iterable[int]) -> Functional:
-        key = frozenset(subset)
-        if key in self.components:
-            return self.components[key]
-        return self.space.constant(0.0)
+        return self.components.get(frozenset(subset)) or self.space.constant(0.0)
 
     def reconstruct(self) -> Functional:
-        out = self.space.constant(0.0)
-        for comp in self.components.values():
-            out = out + comp
-        return out
+        return Functional(self.space, sum(self.layers[1:], self.layers[0]), self.deps)
 
     def order_sum(self, k: int) -> Functional:
         """Sum of all components supported on subsets of size k."""
-        out = self.space.constant(0.0)
-        for S, comp in self.components.items():
-            if len(S) == k:
-                out = out + comp
-        return out
+        if not 0 <= k < len(self.layers):
+            return self.space.constant(0.0)
+        return Functional(self.space, self.layers[k], self.deps if k else frozenset())
 
 
 def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
     """Hoeffding decomposition F_S = prod_{a in S} (I - E_a) prod_{a not in S} E_a F.
 
-    Each coordinate a splits every node G (keyed by S) into E_a G under S and
-    G - E_a G under S + {a}: 2^|deps| - 1 applications of E_a, on bare
-    arrays.  An exactly zero node has zero descendants and is dropped; the
-    empty node is kept.  A node holding NaN is kept, so `reconstruct` shows it.
+    One pass per dependency a grows G along a to [E_a G, G - E_a G], the last
+    into the table, whose prod_a (1 + s_a) entries are checked against the ceiling first.
     """
     deps = sorted(F.deps)
-    if len(deps) > MAX_ANOVA_COORDS:
-        raise ExactModeOverflow(
-            f"ANOVA over {len(deps)} coordinates exceeds the {MAX_ANOVA_COORDS}-coordinate cap"
-        )
-    nodes = {frozenset(): F.data}
+    table = space.empty(tuple(k + (a in F.deps) for a, k in enumerate(F.data.shape)))
+    G = F.data
     for a in deps:
-        split = {}
-        for S, G in nodes.items():
-            averaged = _average(space, G, [a])
-            kept = G - averaged
-            if not S or averaged.any():
-                split[S] = averaged
-            if kept.any():
-                split[S | {a}] = kept
-        nodes = split
-    return AnovaDecomposition(space, {S: Functional(space, G, S) for S, G in nodes.items()})
+        grown = G.shape[:a] + (G.shape[a] + 1,) + G.shape[a + 1:]
+        E = _average(space, G, [a])
+        G = np.concatenate([E, G - E], axis=a, out=table if a == deps[-1] else np.empty(grown))
+    if not deps:
+        table[...] = G
+    table.flags.writeable = False  # the components are views of it
+    return AnovaDecomposition(space, table, deps)
 
 
 def order_layers(space: ProductSpace, F: Functional) -> list:
@@ -269,10 +276,7 @@ def legendre_integral(space: ProductSpace, integrand, degree: int) -> Functional
     `integrand` maps u to a Functional.  With degree // 2 + 1 nodes the rule
     is exact when the integrand is a polynomial in u of degree <= `degree`.
     """
-    out = space.constant(0.0)
-    for u, weight in legendre_nodes(degree):
-        out = out + integrand(u) * weight
-    return out
+    return sum((integrand(u) * w for u, w in legendre_nodes(degree)), space.constant(0.0))
 
 
 @lru_cache(maxsize=64)

@@ -185,10 +185,8 @@ def _laguerre_nodes(count: int) -> tuple:
 
 
 def _quadrature_resolvent(space, G, nodes=64):
-    out = space.constant(0.0)
-    for t, w in _laguerre_nodes(nodes):
-        out = out + mehler_apply(space, G, t) * w
-    return out
+    terms = (mehler_apply(space, G, t) * w for t, w in _laguerre_nodes(nodes))
+    return sum(terms, space.constant(0.0))
 
 
 def run_semigroup(args) -> dict:

@@ -270,14 +270,9 @@ def helmholtz_conditional(space: ProductSpace, U: CoordinateField, order=None):
     against `helmholtz` stays observable.
     """
     order = resolve_order(space, order)
-    phi = space.constant(0.0)
-    for pos, k in enumerate(order, start=1):
-        phi = phi + conditional_prefix(
-            space, gradient_component(space, U[k], k), pos, order
-        )
-    V = CoordinateField(
-        space, {a: conditional_drop(space, U[a], a) for a in U.indices()}
-    )
+    phi = sum((conditional_prefix(space, gradient_component(space, U[k], k), pos, order)
+               for pos, k in enumerate(order, start=1)), space.constant(0.0))
+    V = CoordinateField(space, {a: conditional_drop(space, U[a], a) for a in U.indices()})
     return phi, V
 
 
@@ -291,9 +286,8 @@ def covariance_identity(
     order = resolve_order(space, order)
     lhs = expectation(space, F * G) - expectation(space, F) * expectation(space, G)
     terms = _drop_chain_increments(space, F, order[::-1])[::-1]
-    rhs = 0.0
-    for T, k in zip(terms, order):
-        rhs += expectation(space, T * gradient_component(space, G, k))
+    rhs = sum(expectation(space, T * gradient_component(space, G, k))
+              for T, k in zip(terms, order))
     return lhs, rhs
 
 

@@ -11,12 +11,12 @@ D_a P_t = e^{-t} P_t D_a and by stationarity (see also
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, prod
+from math import exp, inf, prod
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeTime
+from .errors import BadParameters, NegativeTime
 from .space import (
     Functional,
     ProductSpace,
@@ -44,10 +44,12 @@ class Trajectory:
         return tuple(cfg)
 
 
-def _check_time(t: float, what: str = "time"):
-    """Refuse a negative or NaN time; t = inf is the limit, P_inf F = E F."""
+def _check_time(t: float, what: str = "time", finite: bool = False):
+    """Refuse a negative or NaN time, and an infinite one for a path (P_inf F = E F)."""
     if not t >= 0:
         raise NegativeTime(f"{what} must be >= 0, got {t}")
+    if finite and t == inf:
+        raise BadParameters(f"{what} must be finite to draw a path, got {t}")
 
 
 def mehler_apply(space: ProductSpace, F: Functional, t: float, frozen=()) -> Functional:
@@ -74,7 +76,7 @@ def simulate(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Jump-chain sampler: Poisson clock of rate n, uniform coordinate, resample."""
-    _check_time(horizon, "horizon")
+    _check_time(horizon, "horizon", finite=True)
     traj = Trajectory(initial=tuple(int(v) for v in x0), horizon=horizon)
     n = space.n
     t = rng.exponential(1.0 / n)
@@ -104,7 +106,7 @@ def simulate_terminal(
     offsets and the coordinate of every jump, and the hits of one coordinate
     at a time.
     """
-    _check_time(t)
+    _check_time(t, finite=True)
     n = space.n
     ends = rng.poisson(n * t, size=size)
     np.cumsum(ends, out=ends)

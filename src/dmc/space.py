@@ -125,6 +125,11 @@ class ProductSpace:
                 f"{entries} stored entries exceed the exact-mode ceiling {self.exact_ceiling}"
             )
 
+    def empty(self, shape: Sequence[int]) -> np.ndarray:
+        """An uninitialised array of `shape`, refused past the ceiling before it is allocated."""
+        self.require_exact(prod(shape))
+        return np.empty(shape)
+
     def check_axis(self, a: int):
         if not 0 <= a < self.n:
             raise IndexOutOfRange(f"coordinate index {a} out of range [0, {self.n})")

@@ -503,11 +503,8 @@ def smooth_test_family() -> list:
     """
     centers = np.linspace(-3.0, 3.0, 8)
     scales = np.geomspace(0.77, 5.0, 8)
-    family = []
-    for c in centers:
-        for s in scales:
-            family.append(lambda x, c=c, s=s: s * np.tanh((np.asarray(x) - c) / s))
-    return family
+    return [lambda x, c=c, s=s: s * np.tanh((np.asarray(x) - c) / s)
+            for c in centers for s in scales]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 `resolvent`, `invert_number_operator`, `symmetric_coordinate_term` and the
 terms of `clark_symmetric` are integrals of the mixing operator M_u, and
-`anova` is a tree of single-coordinate averages; the subset oracles here
+`anova` is one table of single-coordinate averages; the subset oracles here
 compute the same quantities independently, by summing over the 2^n
 coordinate subsets.
 They are exact but exponential in n, so the tests call them at n <= 8 only.
@@ -74,9 +74,11 @@ drawing the inner mean and sample variance from their exact law.
 `drop_tree_clark_symmetric` is the symmetric Clark report over the 2^n - 1
 subset terms, every E[F | X_B] taken from one drop tree, with the dense
 subset Gram: the route that the per-coordinate report replaced.
-`functional_node_anova` is the ANOVA node split with every node wrapped in a
-`Functional` and kept when its sup norm is positive, the route that the
-split on bare arrays replaced.  `new_table_residual` adds the report terms
+`functional_node_anova` is the ANOVA node split (2^n - 1 splits of one node
+each) with every node wrapped in a `Functional` and kept when its sup norm is
+positive: the route that the split on bare arrays replaced, and that the
+Hoeffding table of `anova` (one pass per axis) replaced in turn.
+`new_table_residual` adds the report terms
 smallest first as new tables, and `squared_difference_variance` squares
 F - E[F] into a second table: the routes that `_report` and `variance`
 replaced by arithmetic in place.
@@ -115,12 +117,12 @@ from functools import reduce
 from itertools import combinations
 from math import comb, factorial, prod, sqrt
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.stats import poisson
 
 from dmc.calculus import (
-    AnovaDecomposition,
     anova,
     gradient_component,
     invert_number_operator,
@@ -733,7 +735,11 @@ def drop_tree_clark_symmetric(space, F):
 
 
 def functional_node_anova(space, F):
-    """Hoeffding decomposition by the node split, each node a `Functional`."""
+    """Hoeffding decomposition by the node split, each node a `Functional`.
+
+    Returns the components as the `components` of a namespace, as a
+    decomposition holds them.
+    """
     components = {frozenset(): F}
     for a in sorted(F.deps):
         split = {}
@@ -745,7 +751,7 @@ def functional_node_anova(space, F):
             if kept.sup_norm() > 0.0:
                 split[S | {a}] = kept
         components = split
-    return AnovaDecomposition(space, components)
+    return SimpleNamespace(components=components)
 
 
 def new_table_residual(space, F, terms):

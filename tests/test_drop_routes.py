@@ -71,13 +71,23 @@ def _check_anova(sp, F):
         assert np.max(np.abs(new - old)) <= REL * F.scale()
 
 
-def _same_nodes(got, want):
-    """The same keys, in the same order, with bitwise equal tables and deps."""
+def _same_nodes(got, want, exact=False):
+    """The same keys, in the same order, with the same deps and shapes.
+
+    The tables agree to 1e-15 * scale, scale = max(1, sup of `want`'s
+    components): the Hoeffding table averages each axis over every node at
+    once, which can round a node 1 ulp away from the split.  With `exact`
+    they are bitwise equal.
+    """
     assert list(got) == list(want)
+    scale = max([1.0] + [G.sup_norm() for G in want.values()])
     for S, G in got.items():
         assert G.deps == S == want[S].deps
         assert G.data.shape == want[S].data.shape
-        assert G.data.tobytes() == want[S].data.tobytes()
+        if exact:
+            assert G.data.tobytes() == want[S].data.tobytes()
+        else:
+            assert np.max(np.abs(G.data - want[S].data)) <= 1e-15 * scale
 
 
 def _check_clark_symmetric(sp, F):
@@ -140,7 +150,9 @@ def test_anova_matches_the_functional_node_split(sizes, seed):
     fair = rademacher_space(len(sizes))
     # integer tables on fair coordinates average exactly, so many nodes are exactly 0
     rounded = fair.from_table(rng.integers(-1, 2, size=fair.config_count).astype(float))
-    _same_nodes(anova(fair, rounded).components, functional_node_anova(fair, rounded).components)
+    _same_nodes(
+        anova(fair, rounded).components, functional_node_anova(fair, rounded).components, exact=True
+    )
     for F in (*_functionals(sp, rng), sp.from_table(np.round(rng.normal(size=sp.config_count)))):
         _same_nodes(anova(sp, F).components, functional_node_anova(sp, F).components)
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dmc
+from dmc import calculus
 from dmc.calculus import CoordinateField, anova, order_layers, trace_form
 from dmc.cli import main
 from dmc.decompose import (
@@ -167,12 +168,22 @@ def _numbers(result):
     return [np.atleast_1d(np.asarray(result, dtype=float))]
 
 
+# rows that store more than the small ceiling, and the message they raise:
+# the Hoeffding table of 6 binary dependencies holds 3^6 entries
+RAISES = {"anova": "^729 stored entries exceed the exact-mode ceiling 64$"}
+
+
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_formerly_guarded_call_raises_or_matches_exact_twin(name, stored):
     seed, call = GUARDED[name]
     (small, *args), (exact, *twin_args) = _twins(seed)
     want = _numbers(call(exact, *twin_args))
     del stored[:]
+    if name in RAISES:
+        with pytest.raises(ExactModeOverflow, match=RAISES[name]):
+            call(small, *args)
+        assert max(stored, default=0) <= CEILING
+        return
     got = _numbers(call(small, *args))
     scale = max(1.0, max(float(np.max(np.abs(w), initial=0.0)) for w in want))
     assert len(got) == len(want)
@@ -180,6 +191,19 @@ def test_formerly_guarded_call_raises_or_matches_exact_twin(name, stored):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w), initial=0.0) <= REL * scale
     assert max(stored, default=0) <= CEILING
+
+
+def test_anova_refuses_its_table_before_any_pass(monkeypatch):
+    sp = rademacher_space(15)  # 2^15 entries, a Hoeffding table of 3^15
+    F = sp.from_table(np.arange(sp.config_count, dtype=float))
+
+    def no_pass(*args):
+        raise AssertionError("an axis was averaged before the ceiling check")
+
+    monkeypatch.setattr(calculus, "_average", no_pass)
+    message = "^14348907 stored entries exceed the exact-mode ceiling 10000000$"
+    with pytest.raises(ExactModeOverflow, match=message):
+        anova(sp, F)
 
 
 def test_stationarity_stops_at_the_ceiling(stored):

@@ -105,7 +105,7 @@ def names_in_use():
 
 
 def test_only_calculus_names_anova():
-    """The 2^n subset tree of `anova` stays in `calculus`; order sums come from `order_layers`."""
+    """`anova` and its Hoeffding table stay in `calculus`; order sums come from `order_layers`."""
     naming = [path.name for path in MODULES if path.stem != "calculus" and "anova" in names_read(path)]
     assert not naming, f"modules that name anova: {', '.join(naming)}"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dmc.errors import IndexOutOfRange, NegativeTime
+from dmc.errors import BadParameters, IndexOutOfRange, NegativeTime
 from dmc.semigroup import (
     check_commutation,
     check_contraction,
@@ -83,6 +83,12 @@ TIMED_CALLS = {
 def test_nan_and_negative_times_are_refused(sp2, name, t):
     with pytest.raises(NegativeTime):
         TIMED_CALLS[name](sp2, t)
+
+
+@pytest.mark.parametrize("name", ["simulate", "simulate_terminal"])
+def test_an_infinite_time_is_refused_where_a_path_is_drawn(sp2, name):
+    with pytest.raises(BadParameters, match="must be finite to draw a path, got inf$"):
+        TIMED_CALLS[name](sp2, float("inf"))
 
 
 class TestSemigroupLaws:
