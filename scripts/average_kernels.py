@@ -55,18 +55,18 @@ def _calls(n):
     return calls
 
 
-def _route(shape, axes):
+def _passes(shape, axes, cap=None, mixing=False):
+    """kernel(pre,K,post) of each run that `space._contract` takes, or `per-axis`."""
     if prod(shape) <= space.SMALL_TABLE:
         return "per-axis"
-    return " ".join(f"{kernel}({pre},{K},{post})"
-                    for _, pre, K, post, kernel in space._passes(shape, axes))
-
-
-def _mix_route(shape):
-    if prod(shape) <= space.SMALL_TABLE:
-        return "per-axis"
-    return " ".join(f"{kernel}({pre},{K},{post})"
-                    for _, pre, K, post, kernel in calculus._mix_passes(shape, range(len(shape))))
+    out, passes = list(shape), []
+    for run in space._runs(shape, axes, cap):
+        pre, K, post = space._view(out, run)
+        passes.append(f"{space._kernel(pre, K, post, K if mixing else 1)}({pre},{K},{post})")
+        if not mixing:  # M_u keeps the table's shape; E_a shrinks the run to length 1
+            for a in run:
+                out[a] = 1
+    return " ".join(passes)
 
 
 def _best_us(fn, repeats):
@@ -87,10 +87,11 @@ def main(argv=None):
         print(f"# {name}: {sp.config_count} entries")
         for label, axes in _calls(sp.n):
             us = _best_us(lambda: space._average(sp, data, axes), args.repeats)
-            print(f"{name:>10} {label:>10} {us:12.1f} us  {_route(sp.shape, axes)}")
+            print(f"{name:>10} {label:>10} {us:12.1f} us  {_passes(sp.shape, axes)}")
         F = sp.from_table(data)
         us = _best_us(lambda: calculus.mix(sp, F, MIX_U), args.repeats)
-        print(f"{name:>10} {'mix':>10} {us:12.1f} us  {_mix_route(sp.shape)}")
+        route = _passes(sp.shape, range(sp.n), calculus.MIX_RUN_CAP, mixing=True)
+        print(f"{name:>10} {'mix':>10} {us:12.1f} us  {route}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from dmc.space import rademacher_coordinate
+from dmc.space import rademacher_coordinate, rademacher_space
 from dmc.stein import degenerate_ustat_experiment
 
 
@@ -24,7 +24,9 @@ def gaussian_table(ns, samples, rng):
 
     print(f"{'n':>5} {'bound':>10} {'lyapounov':>10} {'smooth_lower':>13}")
     for n in ns:
-        draws = rng.choice([-1.0, 1.0], size=(samples, n)).sum(axis=1) / sqrt(n)
+        sp = rademacher_space(n)
+        # every coordinate embeds its outcomes as -1, +1
+        draws = sp.embedding(0)[sp.sample_configs(rng, samples)].sum(axis=1) / sqrt(n)
         emp = empirical_distance(draws, GaussianTarget(), rng=rng)
         # the n summands' totals: variance 1 and third absolute moment n * n^-1.5
         lya = lyapounov_bound([(1.0, n**-0.5)])

@@ -18,14 +18,14 @@ view of its Hoeffding table each.
 coordinate at a time.  On a larger one, each run of adjacent mixed axes
 (`space._runs`, at most `MIX_RUN_CAP` entries) is one contraction against
 the run's matrix, the Kronecker product of its factors u I + (1-u) 1 p_a^T,
-with the kernel `space._kernel` picks from the shape; the matrices and
-their Kronecker blocks are cached on the space under (run, u).
+through `space._contract`, the routine that also takes `_average`'s runs;
+the matrices and their Kronecker blocks are cached on the space under
+(run, u).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from math import prod
 from typing import Dict, FrozenSet, Iterable, Mapping
 
 import numpy as np
@@ -37,8 +37,9 @@ from .space import (
     ProductSpace,
     _average,
     _cached,
-    _kernel,
+    _contract,
     _runs,
+    _view,
     conditional_drop,
     conditional_prefix,
     expectation,
@@ -196,11 +197,12 @@ def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
     A table of at most `SMALL_TABLE` entries is updated one coordinate at a
     time in place, out = u out + (1-u) E_a out, so only the first coordinate
     allocates it.  On a larger table each run of `_runs` (capped at
-    `MIX_RUN_CAP` entries) takes one pass of `_mix_run`; only the first pass
-    allocates the result, and each later one writes back into it in blocks
-    of `MIX_BLOCK_BYTES`, so `mix` holds one table and one block.  As in
-    `_average`, the Kronecker block's zeros turn a non-finite entry into NaN
-    across its row of the table.
+    `MIX_RUN_CAP` entries) is one `_contract` pass of the run's matrix, the
+    Kronecker product of its factors u I + (1-u) 1 p_a^T; only the first
+    pass allocates the result, and each later one writes back into it in
+    blocks of `MIX_BLOCK_BYTES`, so `mix` holds one table and one block.  As
+    in `_average`, the Kronecker block's zeros turn a non-finite entry into
+    NaN across its row of the table.
     """
     axes = sorted(F.deps - frozenset(frozen))
     if not axes:
@@ -221,53 +223,24 @@ def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
             del averaged  # before the next average is allocated
         return Functional(space, out, F.deps)
     shape, out = F.data.shape, None
-    for run, pre, K, post, kernel in _mix_passes(shape, axes):
+    for run in _runs(shape, axes, MIX_RUN_CAP):
+        A = _cached(space, ("mix", run, u), lambda: reduce(np.kron, [
+            u * np.eye(space.coords[a].size) + (1.0 - u) * space.coords[a].pmf for a in run
+        ]))
+        pre, K, post = _view(shape, run)
         if out is None:
-            out = _mix_run(space, run, u, kernel, F.data.reshape(pre, K, post)).reshape(shape)
+            out = _contract(space, ("mix-kron", run, u), A, F.data.reshape(pre, K, post))
+            out = out.reshape(shape)
             continue
         # a stored axis of an earlier run comes first, so pre > 1: blocks of rows
         v = out.reshape(pre, K, post)
         step = max(1, MIX_BLOCK_BYTES // (v.itemsize * K * post))
         for i in range(0, pre, step):
-            v[i:i + step] = _mix_run(space, run, u, kernel, v[i:i + step])
+            block = v[i:i + step]
+            block[...] = _contract(space, ("mix-kron", run, u), A, block).reshape(block.shape)
     if out is None:  # every mixed axis has one outcome, where M_u is the identity
         return F
     return Functional(space, out, F.deps)
-
-
-def _mix_passes(shape, axes):
-    """(run, pre, K, post, kernel) for each run `mix` contracts on a table of `shape`.
-
-    M_u keeps the table's shape, so each run is viewed as (pre, K, post)
-    within the whole table, whichever runs went before.
-    """
-    for run in _runs(shape, axes, MIX_RUN_CAP):
-        pre, post = prod(shape[:run[0]]), prod(shape[run[-1] + 1:])
-        K = prod(shape[a] for a in run)
-        yield run, pre, K, post, _kernel(pre, K, post, rows=K)
-
-
-def _mix_run(space: ProductSpace, run: tuple, u: float, kernel: str, v: np.ndarray) -> np.ndarray:
-    """The run's mixing matrix A applied along axis 1 of the (rows, K, cols) view `v`.
-
-    A is the Kronecker product over the run of u I + (1-u) 1 p_a^T,
-    C-ordered like the run's block of the table.  Returns a new array of
-    v's shape; `kernel` is `_kernel`'s for the table: a gemm at either end
-    ("gemv-left" has one row, "gemv-right" one column), a batched matmul,
-    or a gemm against the block kron(A^T, I_cols).
-    """
-    A = _cached(space, ("mix", run, u), lambda: reduce(np.kron, [
-        u * np.eye(space.coords[a].size) + (1.0 - u) * space.coords[a].pmf for a in run
-    ]))
-    rows, K, cols = v.shape
-    if kernel == "gemv-left":
-        return A.dot(v[0]).reshape(v.shape)
-    if kernel == "gemv-right":
-        return v.reshape(rows, K).dot(A.T).reshape(v.shape)
-    if kernel == "kron":
-        block = _cached(space, ("mix-kron", run, u, cols), lambda: np.kron(A.T, np.eye(cols)))
-        return v.reshape(rows, K * cols).dot(block).reshape(v.shape)
-    return np.matmul(A, v)
 
 
 def legendre_integral(space: ProductSpace, integrand, degree: int) -> Functional:

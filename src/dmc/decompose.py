@@ -5,9 +5,9 @@ T_k = D_k E[F | F_k] along a coordinate ordering; the reverse form uses the
 backward filtration, and the symmetric form averages the forward form over
 all orderings, one term per coordinate.  The forward and reverse terms are
 differences of conditional expectations taken from one chain of
-single-coordinate averages; the symmetric terms are Gauss-Legendre integrals
-of the mixing operator M_u with one coordinate left out.  The Helmholtz
-decomposition splits a coordinate field into a gradient part and a
+single-coordinate averages; the symmetric terms are the gradients
+-D_b L^-1 (F - E F) of one pseudo-inverse of the number operator.  The
+Helmholtz decomposition splits a coordinate field into a gradient part and a
 divergence-free part.
 """
 
@@ -34,8 +34,6 @@ from .calculus import (
     gradient,
     gradient_component,
     invert_number_operator,
-    legendre_nodes,
-    mix,
     number_operator,
 )
 from .semigroup import resolvent
@@ -189,49 +187,21 @@ def clark_reverse(space: ProductSpace, F: Functional, order=None) -> Decompositi
 def clark_symmetric(space: ProductSpace, F: Functional) -> DecompositionReport:
     """Order-free form: terms[b] is coordinate b's forward term averaged over all orders.
 
-    That average is D_b int_0^1 prod_{a != b} (uI + (1-u)E_a) F du, the
-    `symmetric_coordinate_term` of b (the constant 0 if F ignores b), so the
-    n terms sum to F - E[F].  They are not orthogonal: the Gram entries sum
-    to var(F), and row b sums to E[T_b (F - E F)], the Shapley effect of
-    coordinate b (Owen 2014).
-
-    The integrand has degree |dep(F)| - 1 in u.  At each Gauss-Legendre node
-    one divide and conquer over the coordinates gives every leave-one-out
-    product: apply one half's factors and recurse into the other half, then
-    swap the halves.  A node costs n log2 n applications of E_a, not n(n-1),
-    and holds log2 n tables besides the n running integrals.
+    In a uniform order b comes last among S with probability 1/|S|, so that
+    average is T_b = sum_{S containing b} F_S / |S| (the constant 0 if F
+    ignores b).  D_b keeps exactly the F_S with b in S, and
+    -L^-1 (F - E F) = sum_{S nonempty} F_S / |S|, so T_b = -D_b L^-1 (F - E F):
+    one `invert_number_operator` and a gradient per coordinate.  The same
+    T_a is the `inv_grad` of `stein._stein_terms`, whose carre is
+    sum_a D_aF T_a.  The n terms sum to F - E[F].  They are not orthogonal:
+    the Gram entries sum to var(F), and row b sums to E[T_b (F - E F)], the
+    Shapley effect of coordinate b (Owen 2014).
     """
-    deps = sorted(F.deps)
-    every = frozenset(range(space.n))
-    integrals = {}
-
-    def leave_one_out(G, coords, u, weight):
-        if len(coords) == 1:
-            b = coords[0]
-            if b in integrals:
-                integrals[b] += G.data * weight
-            else:
-                integrals[b] = G.data * weight
-            return
-        half = len(coords) // 2
-        left, right = coords[:half], coords[half:]
-        leave_one_out(mix(space, G, u, every.difference(right)), left, u, weight)
-        leave_one_out(mix(space, G, u, every.difference(left)), right, u, weight)
-
-    if deps:
-        for u, weight in legendre_nodes(len(deps) - 1):
-            leave_one_out(F, deps, u, weight)
-    terms = []
-    for b in range(space.n):
-        if b not in integrals:
-            terms.append(space.constant(0.0))
-            continue
-        R = integrals.pop(b)
-        R -= _average(space, R, [b])
-        terms.append(Functional(space, R, F.deps))
-    return _report(
-        space, F, expectation(space, F), tuple(range(space.n)), terms, _gram(space, terms)
-    )
+    mean = expectation(space, F)
+    G = invert_number_operator(space, F - mean)
+    terms = [-gradient_component(space, G, b) if b in F.deps else space.constant(0.0)
+             for b in range(space.n)]
+    return _report(space, F, mean, tuple(range(space.n)), terms, _gram(space, terms))
 
 
 def symmetric_coordinate_term(space: ProductSpace, F: Functional, b: int) -> Functional:

@@ -19,11 +19,12 @@ conditionals, `expectation` and `variance` (E_a over every axis, by Fubini)
 all go through it.  A table of at most `SMALL_TABLE` entries takes one
 product with the pmf per stored axis.  On a larger one, averaged axes with
 no kept stored axis between them form a run, contracted in one pass against
-the product of their pmfs (at most `RUN_LAW_CAP` entries); the kernel of
-each pass (a gemv, a batched matmul, a gemm against a Kronecker block, or
-one einsum pass) follows from the shape alone, and each space caches its
-run laws and Kronecker blocks within `KERNEL_CACHE_BYTES`.  An expectation
-holds less than the array it is given.
+the product of their pmfs (at most `RUN_LAW_CAP` entries).  `_contract`
+takes every such pass, here and for the runs of `calculus.mix`: its kernel
+(a gemv, a batched matmul, a gemm against a Kronecker block, or one einsum
+pass) follows from the shape alone, and each space caches its run laws,
+mixing matrices and Kronecker blocks within `KERNEL_CACHE_BYTES`.  An
+expectation holds less than the array it is given.
 
 Exact mode has one rule, checked here only and before allocating: no array
 stored on a space exceeds `exact_ceiling` entries.
@@ -304,8 +305,8 @@ def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> np.n
     A larger table is averaged by runs (`_runs`): stored averaged axes with
     no kept stored axis between them, one contiguous block of K entries in
     each row, contracted in one pass against their product law (`_law`, at
-    most `RUN_LAW_CAP` entries).  `_kernel` picks each pass (`_passes`)
-    from the view (pre, K, post) alone:
+    most `RUN_LAW_CAP` entries).  `_contract` takes each pass, which
+    `_kernel` picks from the view (pre, K, post) of the run (`_view`) alone:
 
     - pre == 1: gemv, law @ (K, post);
     - post == 1: gemv, (pre, K) @ law;
@@ -335,18 +336,8 @@ def _average(space: ProductSpace, data: np.ndarray, axes: Iterable[int]) -> np.n
             out[a] = 1
         return v.reshape(out)
     out, v = list(data.shape), data
-    for run, pre, K, post, kernel in _passes(out, axes):
-        law = _law(space, run)
-        if kernel == "gemv-left":
-            v = law.dot(v.reshape(K, post))
-        elif kernel == "gemv-right":
-            v = v.reshape(pre, K).dot(law)
-        elif kernel == "matmul":
-            v = np.matmul(law, v.reshape(pre, K, post))
-        elif kernel == "kron":
-            v = v.reshape(pre, K * post).dot(_kron_block(space, run, law, post))
-        else:
-            v = np.einsum("j,ijk->ik", law, v.reshape(pre, K, post))
+    for run in _runs(out, axes):
+        v = _contract(space, ("kron", run), _law(space, run), v.reshape(_view(out, run)))
         for a in run:
             out[a] = 1
     return v.reshape(out)
@@ -377,15 +368,9 @@ def _runs(shape: Sequence[int], axes: Iterable[int], cap: int | None = None) -> 
     return runs
 
 
-def _passes(shape: Sequence[int], axes: Iterable[int]):
-    """(run, pre, K, post, kernel) for each run of `_runs`, in the order `_average` takes them."""
-    out = list(shape)
-    for run in _runs(out, axes):
-        pre, post = prod(out[:run[0]]), prod(out[run[-1] + 1:])
-        K = prod(out[a] for a in run)
-        yield run, pre, K, post, _kernel(pre, K, post)
-        for a in run:
-            out[a] = 1
+def _view(shape: Sequence[int], run: tuple) -> tuple:
+    """(pre, K, post): a table of `shape` seen around the block of its run of axes."""
+    return prod(shape[:run[0]]), prod(shape[a] for a in run), prod(shape[run[-1] + 1:])
 
 
 def _kernel(pre: int, K: int, post: int, rows: int = 1) -> str:
@@ -418,14 +403,27 @@ def _law(space: ProductSpace, run: tuple) -> np.ndarray:
                    lambda: reduce(np.multiply.outer, [space.coords[a].pmf for a in run]).ravel())
 
 
-def _kron_block(space: ProductSpace, run: tuple, law: np.ndarray, post: int) -> np.ndarray:
-    """kron(law, I_post): row j * post + p holds law[j] in column p.
+def _contract(space: ProductSpace, key: tuple, M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M applied along axis 1 of the (pre, K, post) view `v`, in the pass `_kernel` picks.
 
-    Its builder closes over `law` and `post` here, not in `_average`, where
-    the closure would cost every small-table call a cell per variable.
+    M is a law of shape (K,) or a (rows, K) matrix, C-ordered like the run's
+    block of the table.  Returns a new array of pre * rows * post entries,
+    in v's order with the run's axis replaced by M's rows (dropped for a
+    law); the Kronecker block kron(M^T, I_post) is cached under
+    `key + (post,)`.
     """
-    return _cached(space, ("kron", run, post),
-                   lambda: np.kron(law.reshape(-1, 1), np.eye(post)))
+    pre, K, post = v.shape
+    kernel = _kernel(pre, K, post, M.size // K)
+    if kernel == "gemv-left":
+        return M.dot(v.reshape(K, post))
+    if kernel == "gemv-right":
+        return v.reshape(pre, K).dot(M.T)
+    if kernel == "kron":
+        block = _cached(space, key + (post,), lambda: np.kron(M.reshape(-1, K).T, np.eye(post)))
+        return v.reshape(pre, K * post).dot(block)
+    if kernel == "einsum":
+        return np.einsum("j,ijk->ik", M, v)
+    return np.matmul(M, v)
 
 
 def _cached(space: ProductSpace, key: tuple, build: Callable) -> np.ndarray:

@@ -115,9 +115,12 @@ def resample_integral(space: ProductSpace, F: Functional, a: int) -> Functional:
 def _stein_terms(space: ProductSpace, F: Functional):
     """carre = sum_a D_aF (-D_a L^-1 F), T2 and -L^-1 F, from one L^-1, coordinate by coordinate.
 
-    The loop runs on bare arrays, all of F's compact shape, and adds each
-    coordinate's share into carre and the T2 integrand in place.  A
-    coordinate's two gradients are freed before the next.
+    `inv_grad` = -D_a L^-1 F is T_a, coordinate a's term of
+    `decompose.clark_symmetric` (its forward Clark term averaged over all
+    orders), so carre = sum_a D_aF T_a.  The loop runs on bare arrays, all of
+    F's compact shape, and adds each coordinate's share into carre and the T2
+    integrand in place.  A coordinate's two gradients are freed before the
+    next.
     """
     neg_inverse = invert_number_operator(space, F).data
     neg_inverse *= -1.0

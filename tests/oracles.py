@@ -74,6 +74,9 @@ drawing the inner mean and sample variance from their exact law.
 `drop_tree_clark_symmetric` is the symmetric Clark report over the 2^n - 1
 subset terms, every E[F | X_B] taken from one drop tree, with the dense
 subset Gram: the route that the per-coordinate report replaced.
+`leave_one_out_clark_symmetric_terms` takes each coordinate's term from
+leave-one-out products of M_u at every Gauss-Legendre node, by one divide
+and conquer per node: the route that one `invert_number_operator` replaced.
 `functional_node_anova` is the ANOVA node split (2^n - 1 splits of one node
 each) with every node wrapped in a `Functional` and kept when its sup norm is
 positive: the route that the split on bare arrays replaced, and that the
@@ -126,6 +129,8 @@ from dmc.calculus import (
     anova,
     gradient_component,
     invert_number_operator,
+    legendre_nodes,
+    mix,
 )
 from dmc.decompose import _gram, _report
 from dmc.errors import TruncationFailure
@@ -732,6 +737,35 @@ def drop_tree_clark_symmetric(space, F):
         cond = {B: G for B, G in cond.items() if len(B) >= r}
     mean = expectation(space, F)
     return _report(space, F, mean, tuple(range(n)), terms, _gram(space, terms))
+
+
+def leave_one_out_clark_symmetric_terms(space, F):
+    """The symmetric Clark terms as D_b int_0^1 prod_{a != b} (uI + (1-u)E_a) F du.
+
+    The integrand has degree |dep(F)| - 1 in u.  At each Gauss-Legendre node
+    one divide and conquer over the coordinates gives every leave-one-out
+    product: apply one half's factors and recurse into the other half, then
+    swap the halves, n log2 n applications of E_a per node.
+    """
+    deps = sorted(F.deps)
+    every = frozenset(range(space.n))
+    integrals = {}
+
+    def leave_one_out(G, coords, u, weight):
+        if len(coords) == 1:
+            b = coords[0]
+            integrals[b] = integrals.get(b, 0.0) + G.data * weight
+            return
+        half = len(coords) // 2
+        left, right = coords[:half], coords[half:]
+        leave_one_out(mix(space, G, u, every.difference(right)), left, u, weight)
+        leave_one_out(mix(space, G, u, every.difference(left)), right, u, weight)
+
+    if deps:
+        for u, weight in legendre_nodes(len(deps) - 1):
+            leave_one_out(F, deps, u, weight)
+    return [gradient_component(space, Functional(space, integrals[b], F.deps), b)
+            if b in integrals else space.constant(0.0) for b in range(space.n)]
 
 
 def functional_node_anova(space, F):

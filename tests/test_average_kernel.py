@@ -23,7 +23,6 @@ from dmc.space import (
     Functional,
     _average,
     _kernel,
-    _passes,
     _runs,
     build_space,
     expectation,
@@ -151,9 +150,23 @@ def test_middle_axis_holds_half_the_table():
 # -- runs of averaged axes on tables past SMALL_TABLE --------------------------
 
 
-def _route(shape, axes):
-    """The kernel of each run `_average` takes on a table of `shape`."""
-    return [kernel for *_, kernel in _passes(shape, axes)]
+def _kernels_taken(call):
+    """The kernel of every pass `_contract` takes while `call()` runs."""
+    taken, kernel = [], space._kernel
+
+    def recording(*view):
+        taken.append(kernel(*view))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(space, "_kernel", recording)
+        call()
+    return taken
+
+
+def _route(sp, axes):
+    """The kernel of each run `_average` takes on a full table of `sp`."""
+    return _kernels_taken(lambda: _average(sp, np.zeros(sp.shape), axes))
 
 
 def _check_both_oracles(sp, F, axes):
@@ -197,7 +210,7 @@ FAIR12_KERNELS = [
 def test_each_kernel_matches_both_oracles(axis, kernel):
     sp = rademacher_space(12)
     assert sp.config_count > space.SMALL_TABLE
-    assert _route(sp.shape, [axis]) == [kernel]
+    assert _route(sp, [axis]) == [kernel]
     _check_both_oracles(sp, _full(sp), [axis])
 
 
@@ -271,7 +284,7 @@ def test_every_subset_of_a_larger_space_matches_both_oracles(kind):
 @pytest.mark.parametrize("axis", [16, 17, 18])
 def test_trailing_axes_of_fair_20(axis):
     sp = rademacher_space(20)
-    assert _route(sp.shape, [axis]) == ["kron"]
+    assert _route(sp, [axis]) == ["kron"]
     _check_both_oracles(sp, _full(sp, axis), [axis])
 
 

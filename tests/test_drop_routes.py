@@ -10,7 +10,7 @@ and without a sort.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmc.calculus import anova
 from dmc.decompose import clark_symmetric
@@ -76,12 +76,23 @@ def _same_nodes(got, want, exact=False):
 
     The tables agree to 1e-15 * scale, scale = max(1, sup of `want`'s
     components): the Hoeffding table averages each axis over every node at
-    once, which can round a node 1 ulp away from the split.  With `exact`
-    they are bitwise equal.
+    once, which can round a node 1 ulp away from the split.  For the same
+    reason a node that is 0 in exact arithmetic can come out exactly 0 on
+    one side, which drops it, and a rounding residue on the other: a key on
+    one side only is accepted when its component is within that bound, and
+    the common keys come in the same order.  With `exact` the keys are the
+    same and the tables bitwise equal.
     """
-    assert list(got) == list(want)
     scale = max([1.0] + [G.sup_norm() for G in want.values()])
+    if exact:
+        assert list(got) == list(want)
+    for one, other in ((got, want), (want, got)):
+        for S in one.keys() - other.keys():
+            assert one[S].sup_norm() <= 1e-15 * scale, S
+    assert [S for S in got if S in want] == [S for S in want if S in got]
     for S, G in got.items():
+        if S not in want:
+            continue
         assert G.deps == S == want[S].deps
         assert G.data.shape == want[S].data.shape
         if exact:
@@ -144,6 +155,9 @@ def test_routes_match_oracles_on_generated_spaces(sizes, seed):
     seed=st.integers(0, 10_000),
 )
 @settings(max_examples=30, deadline=None)
+# the fourth functional ignores coordinate 1: `anova` drops that node as
+# exactly 0, where the node split keeps it at -5.55e-17
+@example(sizes=[4, 2], seed=5095)
 def test_anova_matches_the_functional_node_split(sizes, seed):
     rng = np.random.default_rng(seed)
     sp = _mixed_space(sizes, rng)

@@ -11,6 +11,7 @@ cache is bitwise neutral, and the blocked write-back agrees with one pass.
 """
 
 from itertools import combinations
+from math import prod
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ import pytest
 from dmc import calculus, space
 from dmc.calculus import (
     MIX_RUN_CAP,
-    _mix_passes,
     invert_number_operator,
     legendre_nodes,
     mix,
@@ -26,6 +26,7 @@ from dmc.calculus import (
 from dmc.semigroup import mehler_apply
 from dmc.space import (
     Functional,
+    _runs,
     build_space,
     expectation,
     iid_space,
@@ -33,7 +34,7 @@ from dmc.space import (
 )
 
 from .oracles import allocating_mix
-from .test_average_kernel import _skewed
+from .test_average_kernel import _kernels_taken, _skewed
 from .test_full_grid_operators import _on
 from .test_quadrature_routes import _mixed_space
 
@@ -94,30 +95,32 @@ def test_every_kernel_is_taken():
         sp = make()
         for F in _functionals(sp, np.random.default_rng(1)):
             for frozen in _frozen_sets(sp.n):
-                axes = sorted(F.deps - frozen)
-                kernels.update(k for *_, k in _mix_passes(F.data.shape, axes))
+                kernels.update(_kernels_taken(lambda: mix(sp, F, LEGENDRE_U, frozen)))
     assert kernels == {"gemv-left", "gemv-right", "matmul", "kron"}
+
+
+def _mix_runs(shape, axes):
+    """The runs `mix` contracts on a table of `shape`."""
+    return _runs(shape, axes, MIX_RUN_CAP)
 
 
 def test_frozen_axes_break_runs_and_runs_split_at_the_cap():
     shape = (2,) * 12
-    assert [run for run, *_ in _mix_passes(shape, range(12))] == [
-        (0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
+    assert _mix_runs(shape, range(12)) == [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
     # axis 5 is frozen, so axes 4 and 6 are in different runs
     axes = [a for a in range(12) if a != 5]
-    assert [run for run, *_ in _mix_passes(shape, axes)] == [
-        (0, 1, 2, 3), (4,), (6, 7, 8, 9), (10, 11)]
+    assert _mix_runs(shape, axes) == [(0, 1, 2, 3), (4,), (6, 7, 8, 9), (10, 11)]
     # length-1 axes (coordinates F ignores) do not break a run
-    assert [run for run, *_ in _mix_passes((2, 1, 2, 2, 1, 2), [0, 2, 3, 5])] == [(0, 2, 3, 5)]
+    assert _mix_runs((2, 1, 2, 2, 1, 2), [0, 2, 3, 5]) == [(0, 2, 3, 5)]
     # 3 * 3 * 3 and 4 * 4 * 4 pass the cap: runs of two axes
-    assert [run for run, *_ in _mix_passes((3,) * 7, range(7))] == [(0, 1), (2, 3), (4, 5), (6,)]
-    assert [run for run, *_ in _mix_passes((4,) * 6, range(6))] == [(0, 1), (2, 3), (4, 5)]
+    assert _mix_runs((3,) * 7, range(7)) == [(0, 1), (2, 3), (4, 5), (6,)]
+    assert _mix_runs((4,) * 6, range(6)) == [(0, 1), (2, 3), (4, 5)]
     for sp in (rademacher_space(12), SPACES["ternary7"](), SPACES["quaternary6"]()):
         F = sp.from_table(np.random.default_rng(2).normal(size=sp.config_count))
         for r in (1, 2, sp.n - 1):
             for frozen in combinations(range(sp.n), r):
-                passes = list(_mix_passes(F.data.shape, sorted(set(range(sp.n)) - set(frozen))))
-                assert all(K <= MIX_RUN_CAP for _, _, K, _, _ in passes)
+                runs = _mix_runs(F.data.shape, sorted(set(range(sp.n)) - set(frozen)))
+                assert all(prod(F.data.shape[a] for a in run) <= MIX_RUN_CAP for run in runs)
                 _check(sp, F, LEGENDRE_U, set(frozen))
 
 
@@ -165,16 +168,19 @@ def test_blocked_write_back_matches_one_pass(monkeypatch):
 
 
 def _recorded_tables(monkeypatch):
-    """Every table `mix` asks the cache for, as (key, entries)."""
+    """Every table `mix` asks the cache for, as (key, entries): its run
+    matrices, and the Kronecker blocks that `space._contract` builds of them."""
     seen = []
-    cached = calculus._cached
+    cached = space._cached
 
     def recording(sp, key, build):
         table = cached(sp, key, build)
-        seen.append((key, table.size))
+        if key[0].startswith("mix"):  # not the laws of `expectation`
+            seen.append((key, table.size))
         return table
 
     monkeypatch.setattr(calculus, "_cached", recording)
+    monkeypatch.setattr(space, "_cached", recording)
     return seen
 
 

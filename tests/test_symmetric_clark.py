@@ -1,10 +1,12 @@
 """The symmetric Clark form by coordinate, against its independent routes.
 
 `clark_symmetric` reports one term per coordinate, all of them from one
-divide and conquer per quadrature node.  Each term must equal the per-b
-`symmetric_coordinate_term`; the Gram entries must sum to var(F) and its
-rows to the Shapley effects of the subset formula; and the report must
-agree with the subset-term report it replaced (`oracles`).
+`invert_number_operator`: T_b = -D_b L^-1 (F - E F).  Each term must equal
+the per-b `symmetric_coordinate_term` and the leave-one-out divide and
+conquer it replaced; the Gram entries must sum to var(F) and its rows to
+the Shapley effects of the subset formula; the report must agree with the
+subset-term report (`oracles`); and the carre du champ of the Stein bounds
+must be sum_a D_aF T_a.
 """
 
 from itertools import combinations
@@ -14,9 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dmc.calculus import gradient_component
 from dmc.decompose import clark_symmetric, symmetric_coordinate_term
-from dmc.space import conditional_on, rademacher_space, variance
-from .oracles import drop_tree_clark_symmetric, subset_clark_symmetric_terms, traced_peak
+from dmc.space import conditional_on, expectation, rademacher_space, variance
+from dmc.stein import _stein_terms
+from .oracles import (
+    drop_tree_clark_symmetric,
+    leave_one_out_clark_symmetric_terms,
+    subset_clark_symmetric_terms,
+    traced_peak,
+)
 from .test_drop_routes import KINDS, _functionals, _space
 from .test_quadrature_routes import _mixed_space
 
@@ -44,9 +53,11 @@ def _check(sp, F):
     rep = clark_symmetric(sp, F)
     scale = F.scale()
     assert rep.order == tuple(range(sp.n)) and len(rep.terms) == sp.n
+    old = leave_one_out_clark_symmetric_terms(sp, F)
     for b, T in enumerate(rep.terms):
-        assert T.deps == (F.deps if b in F.deps else frozenset())
+        assert T.deps == (F.deps if b in F.deps else frozenset()) == old[b].deps
         assert (T - symmetric_coordinate_term(sp, F, b)).sup_norm() <= REL * scale
+        assert (T - old[b]).sup_norm() <= REL * scale
     var = variance(sp, F)
     assert rep.variance_pair[0] == var
     assert abs(rep.gram.sum() - var) <= REL * scale**2
@@ -88,6 +99,18 @@ def test_report_agrees_with_the_subset_terms(kind):
         assert abs(new.gram.sum() - old.gram.sum()) <= REL * scale**2
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_carre_du_champ_is_the_gradients_against_the_symmetric_terms(kind):
+    """The Clark/Stein link: the carre of the Stein bounds is sum_a D_aF T_a."""
+    sp = _space(kind)
+    for F in _functionals(sp, np.random.default_rng(13)):
+        carre, _, _ = _stein_terms(sp, F - expectation(sp, F))
+        terms = clark_symmetric(sp, F).terms
+        want = sum((gradient_component(sp, F, a) * T for a, T in enumerate(terms)),
+                   sp.constant(0.0))
+        assert (carre - want).sup_norm() <= REL * F.scale()
+
+
 def test_past_the_old_coordinate_cap():
     sp = rademacher_space(14)  # the subset route refused n > 12
     F = sp.from_table(np.random.default_rng(11).normal(size=sp.config_count))
@@ -122,7 +145,8 @@ def test_holds_the_coordinate_terms_and_a_few_tables():
     sp = rademacher_space(12)
     F = sp.from_table(np.random.default_rng(0).normal(size=sp.config_count))
     peak = traced_peak(lambda: clark_symmetric(sp, F))
-    # 12 terms and the recursion's few tables, the Gram's weight table and row
-    # buffer among them: measured 17.7 tables, where the subset route peaked
-    # at 296 MiB (about 9,000)
+    # 12 terms, L^-1 and its quadrature's few tables, the Gram's weight table
+    # and row buffer among them: measured 16.7 tables (17.1 by the
+    # leave-one-out route), where the subset route peaked at 296 MiB (about
+    # 9,000)
     assert (peak - 4096) / F.data.nbytes <= 18.0
