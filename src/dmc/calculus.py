@@ -8,11 +8,12 @@ supported on the coordinate subset S.
 
 The generating operator M_u = prod_a (u I + (1-u) E_a) multiplies that
 component by u^|S|, so M_u F = sum_k u^k H_k over the ANOVA layers H_k;
-`order_layers` takes the H_k as its coefficients.  Integrals of M_u over u
-in [0, 1] are polynomial in u; Gauss-Legendre quadrature evaluates them
-exactly from a few mixing passes, which gives the pseudo-inverse of L (and
-the resolvent in `semigroup`).  Only `anova` names coordinate subsets, one
-view of its Hoeffding table each.
+`order_layers` takes the H_k as its coefficients, and `anova` reads its
+layers from there.  Integrals of M_u over u in [0, 1] are polynomial in u;
+Gauss-Legendre quadrature evaluates them exactly from a few mixing passes,
+which gives the pseudo-inverse of L (and the resolvent in `semigroup`).
+Only `anova`'s `components` name coordinate subsets, one view each of a
+Hoeffding table that is filled on their first read.
 
 `mix` applies M_u to a table of at most `SMALL_TABLE` entries one
 coordinate at a time.  On a larger one, each run of adjacent mixed axes
@@ -71,6 +72,7 @@ class CoordinateField:
 def gradient_component(space: ProductSpace, F: Functional, a: int) -> Functional:
     """D_a F = F - E[F | G_a]."""
     if a not in F.deps:
+        space.check_axis(a)
         return space.constant(0.0)
     return Functional(space, F.data - _average(space, F.data, (a,)), F.deps)
 
@@ -101,39 +103,37 @@ def number_operator(space: ProductSpace, F: Functional) -> Functional:
 
 
 class AnovaDecomposition:
-    """F's Hoeffding table: slot 0 of dependency axis a holds E_a, slots 1: D_a,
-    so F_S is the read-only view at slots 1: on S and slot 0 on the other
-    dependencies.  `components` and `layers` are computed once, on first use."""
+    """F's ANOVA layers from `order_layers`, and its Hoeffding table: slot 0 of
+    dependency axis a holds E_a, slots 1: D_a, so F_S is the read-only view at
+    slots 1: on S and slot 0 on the other dependencies.  The table is filled,
+    and its views taken, on the first read of `components`."""
 
-    def __init__(self, space: ProductSpace, table: np.ndarray, deps: Iterable[int]):
-        self.space, self.table, self.deps = space, table, frozenset(deps)
+    def __init__(self, space: ProductSpace, F: Functional, table: np.ndarray, layers: list):
+        self.space, self.F, self.table, self.deps, self.layers = space, F, table, F.deps, layers
 
     @cached_property
     def components(self) -> Dict[FrozenSet[int], Functional]:
         """{S: F_S}, keyed as the node split was (first dependency most significant);
-        exactly 0 blocks are dropped, except the empty one, and NaN blocks are kept."""
-        T, every = self.table, slice(None)
+        exactly 0 blocks are dropped, except the empty one, and NaN blocks are kept.
+        One pass per dependency a grows G along a to [E_a G, G - E_a G], the last into
+        the table."""
+        space, deps, T, every = self.space, sorted(self.deps), self.table, slice(None)
+        G = self.F.data
+        for a in deps:
+            grown = G.shape[:a] + (G.shape[a] + 1,) + G.shape[a + 1:]
+            E = _average(space, G, [a])
+            G = np.concatenate([E, G - E], axis=a, out=T if a == deps[-1] else np.empty(grown))
+        if not deps:
+            T[...] = G
+        T.flags.writeable = False  # the components are views of it
         nonzero = (T != 0).any(tuple(set(range(T.ndim)) - self.deps), keepdims=True)
         nodes = {frozenset(): T}
-        for a in sorted(self.deps):
+        for a in deps:
             lo, hi = (every,) * a + (slice(0, 1),), (every,) * a + (slice(1, None),)
             nonzero = np.concatenate([nonzero[lo], nonzero[hi].any(a, keepdims=True)], a)
             nodes = {K: v for S, G in nodes.items() for K, v in ((S, G[lo]), (S | {a}, G[hi]))}
-        return {S: Functional(self.space, G, S)
+        return {S: Functional(space, G, S)
                 for (S, G), kept in zip(nodes.items(), nonzero.ravel()) if kept or not S}
-
-    @cached_property
-    def layers(self) -> list:
-        """[H_0, ..., H_|deps|] as arrays: along each dependency axis a, H_k
-        takes slot 0 of H_k (broadcast) plus slots 1: of H_{k-1}."""
-        layers = [self.table]
-        for a in sorted(self.deps):
-            lo, hi = (slice(None),) * a + (slice(0, 1),), (slice(None),) * a + (slice(1, None),)
-            layers = [layers[0][lo], *(E[lo] + D[hi] for E, D in zip(layers[1:], layers)),
-                      layers[-1][hi]]
-        for H in layers:
-            H.flags.writeable = False  # `order_sum` hands the same arrays to every caller
-        return layers
 
     def component(self, subset: Iterable[int]) -> Functional:
         return self.components.get(frozenset(subset)) or self.space.constant(0.0)
@@ -151,20 +151,16 @@ class AnovaDecomposition:
 def anova(space: ProductSpace, F: Functional) -> AnovaDecomposition:
     """Hoeffding decomposition F_S = prod_{a in S} (I - E_a) prod_{a not in S} E_a F.
 
-    One pass per dependency a grows G along a to [E_a G, G - E_a G], the last
-    into the table, whose prod_a (1 + s_a) entries are checked against the ceiling first.
+    The layers H_k = sum_{|S|=k} F_S are `order_layers`' arrays.  The table of
+    prod_a (1 + s_a) entries is checked against the ceiling first, but filled
+    only when `components` is read.
     """
-    deps = sorted(F.deps)
     table = space.empty(tuple(k + (a in F.deps) for a, k in enumerate(F.data.shape)))
-    G = F.data
-    for a in deps:
-        grown = G.shape[:a] + (G.shape[a] + 1,) + G.shape[a + 1:]
-        E = _average(space, G, [a])
-        G = np.concatenate([E, G - E], axis=a, out=table if a == deps[-1] else np.empty(grown))
-    if not deps:
-        table[...] = G
-    table.flags.writeable = False  # the components are views of it
-    return AnovaDecomposition(space, table, deps)
+    # with no dependency `order_layers` hands back F.data itself, which stays the caller's
+    layers = [H.data for H in order_layers(space, F)] if F.deps else [F.data.copy()]
+    for H in layers:
+        H.flags.writeable = False  # `order_sum` hands the same arrays to every caller
+    return AnovaDecomposition(space, F, table, layers)
 
 
 def order_layers(space: ProductSpace, F: Functional) -> list:
@@ -204,6 +200,8 @@ def mix(space: ProductSpace, F: Functional, u: float, frozen=()) -> Functional:
     in `_average`, the Kronecker block's zeros turn a non-finite entry into
     NaN across its row of the table.
     """
+    for a in frozen:
+        space.check_axis(a)
     axes = sorted(F.deps - frozenset(frozen))
     if not axes:
         return F

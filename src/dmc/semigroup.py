@@ -77,6 +77,7 @@ def simulate(
 ) -> Trajectory:
     """Jump-chain sampler: Poisson clock of rate n, uniform coordinate, resample."""
     _check_time(horizon, "horizon", finite=True)
+    space.config_to_index(x0)
     traj = Trajectory(initial=tuple(int(v) for v in x0), horizon=horizon)
     n = space.n
     t = rng.exponential(1.0 / n)
@@ -107,6 +108,7 @@ def simulate_terminal(
     at a time.
     """
     _check_time(t, finite=True)
+    space.config_to_index(x0)
     n = space.n
     ends = rng.poisson(n * t, size=size)
     np.cumsum(ends, out=ends)

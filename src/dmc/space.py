@@ -139,6 +139,8 @@ class ProductSpace:
         return tuple(int(v) for v in np.unravel_index(idx, self.shape))
 
     def config_to_index(self, config: Sequence[int]) -> int:
+        if len(config) != self.n:
+            raise IndexOutOfRange(f"configuration has {len(config)} entries, not {self.n}")
         for a, v in enumerate(config):
             if not 0 <= v < self.shape[a]:
                 raise IndexOutOfRange(f"outcome {v} invalid for coordinate {a}")
@@ -481,6 +483,8 @@ def conditional_drop(space: ProductSpace, F: Functional, a: int) -> Functional:
 def conditional_on(space: ProductSpace, F: Functional, keep: Iterable[int]) -> Functional:
     """E[F | X_keep]."""
     keep = set(keep)
+    for a in keep:
+        space.check_axis(a)
     return integrate_out(space, F, set(range(space.n)) - keep)
 
 

@@ -81,6 +81,8 @@ and conquer per node: the route that one `invert_number_operator` replaced.
 each) with every node wrapped in a `Functional` and kept when its sup norm is
 positive: the route that the split on bare arrays replaced, and that the
 Hoeffding table of `anova` (one pass per axis) replaced in turn.
+`hoeffding_table_layers` sums that table's views grade by grade, the route
+to the ANOVA layers that `anova` replaced by `order_layers`.
 `new_table_residual` adds the report terms
 smallest first as new tables, and `squared_difference_variance` squares
 F - E[F] into a second table: the routes that `_report` and `variance`
@@ -786,6 +788,18 @@ def functional_node_anova(space, F):
                 split[S | {a}] = kept
         components = split
     return SimpleNamespace(components=components)
+
+
+def hoeffding_table_layers(table, deps):
+    """[H_0, ..., H_|deps|] as arrays by the grade recursion over a Hoeffding table:
+    along each dependency axis a, H_k takes slot 0 of H_k (broadcast) plus slots
+    1: of H_{k-1}."""
+    layers = [table]
+    for a in sorted(deps):
+        lo, hi = (slice(None),) * a + (slice(0, 1),), (slice(None),) * a + (slice(1, None),)
+        layers = [layers[0][lo], *(E[lo] + D[hi] for E, D in zip(layers[1:], layers)),
+                  layers[-1][hi]]
+    return layers
 
 
 def new_table_residual(space, F, terms):

@@ -14,13 +14,23 @@ from dmc.calculus import (
     gradient,
     gradient_component,
     invert_number_operator,
+    mix,
     number_operator,
     order_layers,
     trace_form,
 )
-from dmc.errors import NotCentered
-from dmc.space import build_space, expectation, rademacher_coordinate, rademacher_space
+from dmc.decompose import symmetric_coordinate_term
+from dmc.errors import IndexOutOfRange, NotCentered
+from dmc.semigroup import mehler_apply, resolvent
+from dmc.space import (
+    build_space,
+    conditional_on,
+    expectation,
+    rademacher_coordinate,
+    rademacher_space,
+)
 from .conftest import adapted_field, random_field, random_functional, random_space
+from .oracles import hoeffding_table_layers
 from .test_quadrature_routes import _mixed_space
 
 TOL = 1e-12
@@ -81,6 +91,26 @@ class TestNumberOperator:
         assert number_operator(sp2, sp2.constant(5.0)).sup_norm() <= TOL
 
 
+OUT_OF_RANGE = {
+    "conditional_on-7": (lambda sp, F: conditional_on(sp, F, [7]), 7),
+    "conditional_on-minus-1": (lambda sp, F: conditional_on(sp, F, [-1]), -1),
+    "gradient_component": (lambda sp, F: gradient_component(sp, F, 5), 5),
+    "symmetric_coordinate_term": (lambda sp, F: symmetric_coordinate_term(sp, F, 5), 5),
+    "mix": (lambda sp, F: mix(sp, F, 0.5, frozen={9}), 9),
+    "mehler_apply": (lambda sp, F: mehler_apply(sp, F, 0.3, frozen={9}), 9),
+    "resolvent": (lambda sp, F: resolvent(sp, F, frozen={9}), 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_a_coordinate_out_of_range_is_refused(name):
+    call, a = OUT_OF_RANGE[name]
+    sp = rademacher_space(3)
+    F = sp.from_table(np.arange(sp.config_count, dtype=float))
+    with pytest.raises(IndexOutOfRange, match=rf"^coordinate index {a} out of range \[0, 3\)$"):
+        call(sp, F)
+
+
 class TestAnova:
     def test_sum_splits_into_singletons(self, sp2):
         X0 = sp2.coordinate_functional(0)
@@ -134,7 +164,7 @@ def _layer_space(kind, rng):
 
 
 class TestOrderLayers:
-    """`order_layers` against the order sums of the ANOVA subset tree."""
+    """`order_layers` against the grade sums of the ANOVA Hoeffding table."""
 
     @pytest.mark.parametrize("kind", ["fair", "p02", "mixed"])
     def test_layers_are_the_anova_order_sums(self, kind):
@@ -145,11 +175,14 @@ class TestOrderLayers:
         for F in (sp.from_table(table), partial, sp.constant(2.5)):
             layers = order_layers(sp, F)
             dec = anova(sp, F)
+            dec.components  # fills the table
+            sums = hoeffding_table_layers(dec.table, dec.deps)
             # on the p = 0.2 base the middle layers reach about 18 times F's sup norm
             scale = max(H.scale() for H in [F, *layers])
-            assert len(layers) == len(F.deps) + 1
+            assert len(layers) == len(F.deps) + 1 == len(sums)
             for k, H in enumerate(layers):
-                assert (H - dec.order_sum(k)).sup_norm() <= 1e-14 * scale
+                assert sums[k].shape == H.data.shape
+                assert np.max(np.abs(H.data - sums[k])) <= 1e-14 * scale
                 assert H.deps == (F.deps if k else frozenset())
                 assert H.data.shape == tuple(
                     n if a in H.deps else 1 for a, n in enumerate(sp.shape)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dmc.calculus import anova
+from dmc import calculus
+from dmc.calculus import anova, order_layers
 from dmc.decompose import clark_symmetric
 from dmc.randomized import random_space
 from dmc.semigroup import check_stationarity, simulate_terminal
@@ -193,6 +194,41 @@ def test_anova_keeps_the_empty_component():
     dec = anova(sp, X0 * sp.coordinate_functional(2))
     assert set(dec.components) == {frozenset(), frozenset({0, 2})}
     assert dec.component(set()).sup_norm() == 0.0
+
+
+def test_order_sums_never_fill_the_table(monkeypatch):
+    """`order_sum` and `reconstruct` read the averages of `order_layers` and make no
+    other; the first read of `components` adds one pass per dependency, the next none."""
+    calls = []
+
+    def counted(space, data, axes, average=calculus._average):
+        calls.append(tuple(axes))
+        return average(space, data, axes)
+
+    monkeypatch.setattr(calculus, "_average", counted)
+    sp = _space("mixed2")
+    for F in (*_functionals(sp, np.random.default_rng(5)), sp.constant(2.5)):
+        order_layers(sp, F)
+        want, calls[:] = list(calls), []
+        dec = anova(sp, F)
+        for k in range(sp.n + 1):
+            dec.order_sum(k)
+        dec.reconstruct()
+        assert calls == want
+        dec.components
+        dec.component(sorted(F.deps))
+        assert calls[len(want):] == [(a,) for a in sorted(F.deps)]
+        calls[:] = []
+
+
+def test_anova_leaves_the_callers_array_writeable():
+    sp = rademacher_space(3)
+    for F in (sp.constant(2.5), sp.from_table(np.arange(sp.config_count, dtype=float))):
+        dec = anova(sp, F)
+        dec.components
+        assert F.data.flags.writeable
+        assert not any(dec.order_sum(k).data.flags.writeable for k in range(len(F.deps) + 1))
+        assert (dec.reconstruct() - F).sup_norm() <= 1e-15 * F.scale()
 
 
 def _check_terminal(sizes, t, seed, size):

@@ -91,6 +91,23 @@ def test_an_infinite_time_is_refused_where_a_path_is_drawn(sp2, name):
         TIMED_CALLS[name](sp2, float("inf"))
 
 
+@pytest.mark.parametrize("name", ["simulate", "simulate_terminal"])
+@pytest.mark.parametrize("x0, message", [
+    ([5, 0, 0], "outcome 5 invalid for coordinate 0"),
+    ([0, 0, 0, 0], "configuration has 4 entries, not 3"),
+    ([0, 0], "configuration has 2 entries, not 3"),
+    ([7, 7], "configuration has 2 entries, not 3"),
+], ids=["outcome", "long", "short", "short-outcome"])
+def test_a_start_that_is_not_a_configuration_is_refused(name, x0, message):
+    sp = rademacher_space(3)
+    draw = {
+        "simulate": lambda: simulate(sp, x0, 1.0, np.random.default_rng(0)),
+        "simulate_terminal": lambda: simulate_terminal(sp, x0, 1.0, np.random.default_rng(0), 8),
+    }[name]
+    with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+        draw()
+
+
 class TestSemigroupLaws:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
